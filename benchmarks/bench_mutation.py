@@ -55,7 +55,7 @@ if __package__ in (None, ""):
         if path.is_dir() and str(path) not in sys.path:
             sys.path.insert(0, str(path))
 
-from bench_backend import build_instance
+from bench_util import build_instance
 from bench_serving import make_workload
 from bench_sharded import identical
 

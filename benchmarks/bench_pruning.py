@@ -25,9 +25,8 @@ Lemma-5 workload the λ sharing and candidate-level score pruning carry
 the win.
 
 Everything is gated on **bit-identity**: pruned and unpruned paths must
-return the same winning ``(nodes, root, λ)`` on every request, the dict
-and CSR backends must agree under default pruning, warm re-serves must
-equal cold ones, and all of it must survive a mutation epoch
+return the same winning ``(nodes, root, λ)`` on every request, warm
+re-serves must equal cold ones, and all of it must survive a mutation epoch
 (``apply_delta`` + spot checks against one-shot ``wiener_steiner`` on
 the mutated graph).  The prune counters must exactly partition the
 sweep's pair count.  The full run additionally requires the
@@ -58,7 +57,7 @@ if __package__ in (None, ""):
         if path.is_dir() and str(path) not in sys.path:
             sys.path.insert(0, str(path))
 
-from bench_backend import build_instance
+from bench_util import build_instance
 from bench_mutation import make_delta
 from bench_serving import make_workload
 from bench_sharded import identical
@@ -66,7 +65,6 @@ from bench_sharded import identical
 from repro.core.service import ConnectorService, _lambda_grid, _root_list
 from repro.core.options import SolveOptions
 from repro.core.wiener_steiner import wiener_steiner
-from repro.graphs.csr import HAS_NUMPY
 
 
 def winner(result_or_tuple):
@@ -100,8 +98,7 @@ def unshared_sweep(service, options, query, memo):
     memo_key = (query_set, options)
     if memo_key in memo:
         return memo[memo_key]
-    backend_name = service._backend_name(options)
-    engine = service._engine(backend_name)
+    engine = service._sweep_engine()
     roots = _root_list(options, query_set)
     for root in roots:
         engine.unreachable_queries(root, query_set)
@@ -209,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke",
         action="store_true",
         help="reduced instance; exit 1 unless pruned and unpruned sweeps "
-        "are bit-identical (cold/warm, across backends, across the "
-        "mutation epoch), pruning fires, and the counters partition the "
+        "are bit-identical (cold/warm, across the mutation epoch), "
+        "pruning fires, and the counters partition the "
         "sweep (CI regression gate; no timing gate, no file written)",
     )
     parser.add_argument(
@@ -238,14 +235,12 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     graph, _ = build_instance(args.nodes, args.edges, args.query_size, args.seed)
     requests = make_requests(graph, args, rng)
-    backend = "csr" if HAS_NUMPY else "dict"
-    pruned_opts = SolveOptions(backend=backend)
+    pruned_opts = SolveOptions()
     unpruned_opts = pruned_opts.replace(prune=False)
     print(
         f"instance: {graph}, {len(requests)} requests "
         f"({args.requests} Zipf + {args.ablation} root-ablation with "
-        f"{args.extra_roots} extra roots), backend={backend}, "
-        f"seed={args.seed}",
+        f"{args.extra_roots} extra roots), seed={args.seed}",
         flush=True,
     )
 
@@ -298,16 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     warm_winners, _ = serve(pruned_service, pruned_opts, requests)
     warm_identical = warm_winners == pruned_winners
 
-    # --- identity: dict and CSR agree under default pruning -------------
-    cross_backend = True
-    if HAS_NUMPY:
-        dict_service = ConnectorService(graph, SolveOptions(backend="dict"))
-        spot = [q for q, roots in requests if roots is None][:2]
-        cross_backend = all(
-            identical(dict_service.solve(q), pruned_service.solve(q))
-            for q in spot
-        )
-
     # --- identity across a mutation epoch -------------------------------
     delta = make_delta(graph, rng, args.delta_ops)
     mutated = graph.copy()
@@ -335,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     counters_partition = stats.pairs_pruned + stats.pairs_scored == total_pairs
 
     print(f"identity: paths-agree={winners_agree} warm={warm_identical} "
-          f"cross-backend={cross_backend} post-epoch={post_identical} "
+          f"post-epoch={post_identical} "
           f"spot-vs-one-shot={spot_identical} (epoch {epoch})")
 
     failures = []
@@ -343,8 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("unshared, shared, and pruned sweeps disagree")
     if not warm_identical:
         failures.append("warm re-serve differs from the cold pruned sweep")
-    if not cross_backend:
-        failures.append("dict and csr backends disagree under default pruning")
     if not post_identical:
         failures.append("pruned and unpruned sweeps disagree after the epoch flip")
     if not spot_identical:
@@ -390,7 +373,6 @@ def main(argv: list[str] | None = None) -> int:
                     "roots with random distant vertices — the regime "
                     "where certified root-level pruning fires",
         },
-        "backend": backend,
         "repeats": args.repeats,
         "unshared_ms_per_query": round(unshared_ms, 2),
         "shared_ms_per_query": round(shared_ms, 2),
@@ -406,7 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         "identical_connectors": {
             "paths_agree": winners_agree,
             "warm_equals_cold": warm_identical,
-            "dict_equals_csr": cross_backend,
             "across_mutation_epoch": post_identical,
             "spot_vs_one_shot": spot_identical,
         },

@@ -56,7 +56,7 @@ if __package__ in (None, ""):
         if path.is_dir() and str(path) not in sys.path:
             sys.path.insert(0, str(path))
 
-from bench_backend import build_instance
+from bench_util import build_instance
 from bench_serving import make_workload
 from bench_sharded import cache_limits, identical, serve_windows
 
@@ -70,7 +70,7 @@ from repro.serving.remote import shutdown_shard_host
 _HOST_SCRIPT = """\
 import json, sys
 sys.path[:0] = {paths!r}
-from bench_backend import build_instance
+from bench_util import build_instance
 from repro.core.service import ConnectorService
 from repro.serving.remote import ShardHostServer
 

@@ -1,8 +1,8 @@
 """Serving benchmark: ``ConnectorService.solve_many`` vs one-shot calls.
 
 Models the batched-serving workload the ConnectorService redesign targets:
-a fixed reference graph (10k nodes / 50k edges, the backend benchmark's
-instance) receives a batch of 32 query requests drawn from a Zipf-skewed
+a fixed reference graph (10k nodes / 50k edges, ``bench_util``'s
+reference instance) receives a batch of 32 query requests drawn from a Zipf-skewed
 popularity distribution over a pool of distinct query sets — the standard
 serving assumption that a few hot queries (trending entities, shared
 dashboards) dominate traffic while the tail stays diverse.  Every distinct
@@ -41,7 +41,7 @@ if __package__ in (None, ""):
         if path.is_dir() and str(path) not in sys.path:
             sys.path.insert(0, str(path))
 
-from bench_backend import build_instance
+from bench_util import build_instance
 
 from repro.core.service import ConnectorService
 from repro.core.wiener_steiner import wiener_steiner

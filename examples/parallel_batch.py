@@ -1,12 +1,13 @@
-"""Batch query answering: the serving API and the parallel executor (§6.6).
+"""Batch query answering: one service, then the shard ring in parallel (§6.6).
 
-The paper notes Algorithm 1 parallelizes with a linear speedup in |Q|:
-each candidate root is independent.  This example runs the same query
-sequentially and with the process-pool implementation, then serves a
-small batch of queries the way a query-serving deployment would — through
-one persistent :class:`~repro.core.service.ConnectorService` whose CSR
-index and caches are shared by the whole batch (repeated queries are
-answered from cache, bit-identically).
+The paper notes Algorithm 1 parallelizes with a linear speedup: candidate
+roots and whole queries are independent.  This example serves one batch
+of queries twice — through one in-process
+:class:`~repro.core.service.ConnectorService`, whose CSR index and caches
+are shared by the whole batch (repeated queries are answered from cache),
+and through a :class:`~repro.core.sharded.ShardedConnectorService`, which
+spreads the distinct queries over persistent shard processes — and checks
+that both return the same connectors, bit for bit.
 
 Run with::
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.core import ConnectorService, parallel_wiener_steiner, wiener_steiner
+from repro.core import ConnectorService, ShardedConnectorService
 from repro.datasets import load_dataset
 from repro.workloads import query_with_distance
 
@@ -29,39 +30,31 @@ def main() -> None:
           f"{graph.num_edges} edges\n")
 
     rng = random.Random(99)
-    query = query_with_distance(graph, 10, 4.0, rng=rng)
-
-    started = time.perf_counter()
-    sequential = wiener_steiner(graph, query, selection="wiener")
-    sequential_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    parallel = parallel_wiener_steiner(graph, query, max_workers=4)
-    parallel_seconds = time.perf_counter() - started
-
-    print(f"|Q| = {len(query)}")
-    print(f"sequential: W = {sequential.wiener_index:.0f} "
-          f"in {sequential_seconds:.1f}s")
-    print(f"parallel  : W = {parallel.wiener_index:.0f} "
-          f"in {parallel_seconds:.1f}s "
-          f"({sequential_seconds / max(parallel_seconds, 1e-9):.1f}x speedup, "
-          f"4 workers)\n")
-
-    print("serving a batch of seven requests (five distinct) from one index:")
-    service = ConnectorService(graph)
-    batch = [query_with_distance(graph, 5, 3.0, rng=rng) for _ in range(5)]
+    batch = [query_with_distance(graph, 5, 3.0, rng=rng) for _ in range(6)]
     batch += [batch[0], batch[2]]  # hot queries repeat in real traffic
+
+    print(f"serving {len(batch)} requests ({len(batch) - 2} distinct):")
+    service = ConnectorService(graph)
     started = time.perf_counter()
     results = service.solve_many(batch)
-    batch_seconds = time.perf_counter() - started
+    service_seconds = time.perf_counter() - started
     for index, result in enumerate(results):
         print(f"  Q{index}: |Q|=5 -> |V(H)|={result.size:2d} "
               f"W={result.wiener_index:.0f} "
               f"added={sorted(result.added_nodes)[:4]}...")
     stats = service.stats()
-    print(f"  {batch_seconds:.1f}s for {len(batch)} requests "
+    print(f"  one service : {service_seconds:.1f}s "
           f"({stats.result_hits} result-cache hits, "
           f"{stats.cached_roots} cached roots)")
+
+    with ShardedConnectorService(graph, n_shards=2) as ring:
+        started = time.perf_counter()
+        sharded = ring.solve_many(batch)
+        ring_seconds = time.perf_counter() - started
+        routed = ring.stats().requests_routed
+    identical = all(a.nodes == b.nodes for a, b in zip(results, sharded))
+    print(f"  2-shard ring: {ring_seconds:.1f}s "
+          f"({routed} sweeps routed, identical connectors: {identical})")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from repro.core.objectives import (
     wiener_of_nodes,
 )
 from repro.core.options import FunctionMethod, Method, SolveOptions
-from repro.core.parallel import parallel_wiener_steiner, sharded_batch
 from repro.core.result import ConnectorResult
 from repro.core.service import ConnectorService, ServiceStats, SweepOutcome
 from repro.core.sharded import ShardedConnectorService, ShardedStats
@@ -51,7 +50,6 @@ from repro.core.weighted import (
     wiener_steiner_weighted,
 )
 from repro.core.wiener_steiner import (
-    CSR_AUTO_THRESHOLD,
     EXACT_SCORING_THRESHOLD,
     minimum_wiener_connector,
     wiener_steiner,
@@ -94,11 +92,8 @@ __all__ = [
     "steiner_tree_unweighted",
     "tree_total_weight",
     "voronoi_dijkstra_canonical",
-    "CSR_AUTO_THRESHOLD",
     "EXACT_SCORING_THRESHOLD",
     "minimum_wiener_connector",
-    "parallel_wiener_steiner",
-    "sharded_batch",
     "wiener_steiner",
     "WeightedConnectorResult",
     "weighted_wiener_index",

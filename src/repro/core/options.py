@@ -1,8 +1,7 @@
 """Uniform solve configuration: :class:`SolveOptions` and the :class:`Method` protocol.
 
 Before the serving redesign every entry point grew its own keyword soup —
-``wiener_steiner(beta, roots, selection, adjust, lambda_values, backend)``,
-``parallel_wiener_steiner(max_workers, beta, adjust, backend)``,
+``wiener_steiner(beta, roots, selection, adjust, lambda_values)``,
 ``wiener_steiner_weighted(beta, max_lambda_values)`` — and the baseline
 registry used a third, positional-only convention.  This module collapses
 all of that into two small contracts:
@@ -10,7 +9,7 @@ all of that into two small contracts:
 * :class:`SolveOptions` — a frozen (hence hashable, hence cacheable)
   dataclass carrying every tunable of a connector solve.  It is the cache
   key unit of :class:`repro.core.service.ConnectorService` and the only
-  payload besides the graph that the parallel workers receive.
+  payload besides the graph arrays that shard replicas receive.
 * :class:`Method` — the protocol every connector method implements:
   ``solve(graph, query, options)`` plus a ``name`` tag.  The paper's
   algorithm (``ws-q``) and all four baselines (``st``, ``ppr``, ``cps``,
@@ -52,9 +51,6 @@ def stable_repr(value) -> str:
 #: Valid candidate-scoring policies (see :data:`SolveOptions.selection`).
 SELECTIONS = ("a", "wiener", "auto", "sampled")
 
-#: Valid engine backends (see :data:`SolveOptions.backend`).
-BACKENDS = ("auto", "csr", "dict")
-
 
 @dataclasses.dataclass(frozen=True)
 class SolveOptions:
@@ -87,9 +83,6 @@ class SolveOptions:
     lambda_values:
         Explicit λ grid overriding the geometric sweep; normalized to a
         tuple.
-    backend:
-        ``"auto"`` (default), ``"csr"`` or ``"dict"`` — both backends
-        return bit-identical connectors, see :mod:`repro.core.fastpath`.
     exact_threshold:
         Largest candidate scored exactly under ``"auto"``/``"sampled"``.
     sample_sources:
@@ -97,7 +90,7 @@ class SolveOptions:
     sample_seed:
         Seed of the ``"sampled"`` estimator's source choice — fixed so
         repeated scoring of one candidate is deterministic (and therefore
-        cacheable and backend-identical).
+        cacheable).
     prune:
         Apply certified landmark-bound pruning to the λ×root sweep
         (default on).  Pruning only ever skips ``(root, λ)`` pairs whose
@@ -115,7 +108,6 @@ class SolveOptions:
     selection: str = "auto"
     adjust: bool = True
     lambda_values: tuple[float, ...] | None = None
-    backend: str = "auto"
     exact_threshold: int = 600
     sample_sources: int = 64
     sample_seed: int = 0
@@ -138,10 +130,6 @@ class SolveOptions:
             raise ValueError(
                 f"unknown selection policy {self.selection!r}; "
                 f"choose from {SELECTIONS}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
         if self.lambda_values is not None and not self.lambda_values:
             raise ValueError(
@@ -178,12 +166,16 @@ class SolveOptions:
         the same shard, coalesce in the gateway, and answer each other
         from the result caches of remote daemons that never saw the flag.
         """
-        fields = tuple(
-            (f.name, stable_repr(getattr(self, f.name)))
-            for f in dataclasses.fields(self)
-            if f.name != "prune"
-        )
-        return hashlib.sha1(repr(fields).encode("utf-8")).digest()
+        fields = []
+        for f in dataclasses.fields(self):
+            if f.name == "prune":
+                continue
+            fields.append((f.name, stable_repr(getattr(self, f.name))))
+            if f.name == "lambda_values":
+                # The retired engine-backend field's default, kept in its
+                # old slot so every key keeps its shard on the ring.
+                fields.append(("backend", "'auto'"))
+        return hashlib.sha1(repr(tuple(fields)).encode("utf-8")).digest()
 
 
 @runtime_checkable
@@ -236,4 +228,4 @@ class FunctionMethod:
         return f"{type(self).__name__}({self.name!r})"
 
 
-__all__ = ["BACKENDS", "SELECTIONS", "FunctionMethod", "Method", "SolveOptions", "stable_repr"]
+__all__ = ["SELECTIONS", "FunctionMethod", "Method", "SolveOptions", "stable_repr"]

@@ -6,8 +6,8 @@ this module the public API was one-shot — every ``wiener_steiner()`` call
 rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
 :class:`ConnectorService` is the layer that amortizes:
 
-* **one graph index** — the CSR arrays (or the dict engine's order map)
-  are built once at construction and shared by every query;
+* **one graph index** — the CSR arrays are built once and shared by every
+  query through one :class:`~repro.core.fastpath.CSRWienerSteinerEngine`;
 * **per-root BFS caches with LRU bounds** — Algorithm 1's line-1 BFS data
   (distances, canonical parents, the Lemma-4 per-arc ``max`` array) is
   keyed by root and survives across queries, so workloads whose queries
@@ -19,22 +19,22 @@ rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
   whole ``(query, options)`` result are each pure functions of their key,
   so repeated and overlapping queries are answered from cache with
   *bit-identical* connectors;
-* **array-shipping parallelism** — ``solve_many(parallel=True)`` and the
-  per-root map of :func:`repro.core.parallel.parallel_wiener_steiner`
-  send workers the two CSR int arrays (plus the label list), never a
-  pickled ``Graph``; each worker process rebuilds its engine from the
-  arrays once and then serves its share of the batch;
+* **array-shipping replicas** — :meth:`ConnectorService.worker_payload`
+  carries the two CSR int arrays (plus the label list), never a pickled
+  ``Graph``; :func:`service_from_payload` rebuilds a sweep-only replica
+  from them.  The persistent shard ring of :mod:`repro.core.sharded` is
+  the one way to run sweeps in parallel;
 * **optional landmark index** — a :class:`repro.graphs.landmarks.LandmarkIndex`
-  built once per service (on the shared CSR arrays when numpy is
-  available) for approximate distance queries alongside exact solves.
+  built once per service for approximate distance queries alongside
+  exact solves.
 
 Identity contract
 -----------------
 
 ``ConnectorService.solve`` returns the *same connector, bit for bit*, as
 the one-shot :func:`repro.core.wiener_steiner.wiener_steiner` under equal
-options — cold or warm caches, after LRU eviction, sequentially or in
-parallel.  Every cache key captures the full input of the value it
+options — cold or warm caches, after LRU eviction, in-process or on a
+shard replica.  Every cache key captures the full input of the value it
 stores, and the λ×root sweep below is the same canonical loop the
 one-shot path always ran (``wiener_steiner()`` is now literally a
 throwaway service).  The property-test suite asserts this on random
@@ -53,12 +53,11 @@ Quickstart
 from __future__ import annotations
 
 import math
-import os
 import time
-from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.core.fastpath import CSRWienerSteinerEngine
 from repro.core.lru import LRUCache
 from repro.core.options import SolveOptions
 from repro.core.pruning import candidate_bound, root_bound
@@ -69,20 +68,14 @@ from repro.core.versioned import (
     csr_has_edge,
     index_digest_of,
 )
-from repro.core.wiener_steiner import (
-    _lambda_grid,
-    _make_engine,
-    _resolve_backend,
-    _score,
-    _validate_query,
-)
+from repro.core.wiener_steiner import _lambda_grid, _score, _validate_query
 from repro.errors import (
     DeltaError,
     DisconnectedGraphError,
     GraphError,
     InvalidQueryError,
 )
-from repro.graphs.csr import HAS_NUMPY, CSRGraph
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node
 
 __all__ = [
@@ -185,8 +178,8 @@ class ServiceStats:
 class SweepOutcome:
     """The picklable outcome of one λ×root sweep (label space).
 
-    This is the unit the parallel and sharded serving layers ship between
-    processes: everything a graph-holding router needs to build a
+    This is the unit the sharded serving layer ships between processes:
+    everything a graph-holding router needs to build a
     :class:`~repro.core.result.ConnectorResult`, and nothing it does not
     (no host graph, no subgraph).
     """
@@ -196,12 +189,7 @@ class SweepOutcome:
     lam: float | None
     candidates: int
     key: float
-    backend: str
     runtime_seconds: float
-
-
-#: Backwards-compatible private alias (pre-sharding name).
-_Solved = SweepOutcome
 
 
 class ConnectorService:
@@ -211,9 +199,8 @@ class ConnectorService:
     ----------
     graph:
         The host graph.  May be ``None`` when a prebuilt ``csr`` is given
-        (the parallel workers construct services this way); such a
-        service can run sweeps but only the graph-holding parent can
-        build :class:`~repro.core.result.ConnectorResult` objects.
+        (shard replicas construct services this way); such a service
+        builds results with a small induced host instead of the graph.
     options:
         Default :class:`~repro.core.options.SolveOptions` for every solve;
         individual calls may override them.
@@ -255,7 +242,8 @@ class ConnectorService:
         self.options = options if options is not None else SolveOptions()
         self._csr = csr
         self._versioned = VersionedIndex(self.graph, csr, epoch=epoch)
-        self._engines: dict[str, object] = {}
+        # The sweep engine, built on first use (see _sweep_engine).
+        self._engine: CSRWienerSteinerEngine | None = None
         self._max_cached_roots = max_cached_roots
         self._candidates = LRUCache(max_cached_candidates)
         self._scores = LRUCache(max_cached_scores)
@@ -279,11 +267,6 @@ class ConnectorService:
         if self.graph is not None:
             return self.graph.num_nodes
         return self._csr.num_nodes
-
-    def _has_node(self, node) -> bool:
-        if self.graph is not None:
-            return self.graph.has_node(node)
-        return node in self._csr.index_of
 
     def _validate(self, query_set: frozenset) -> None:
         if self.graph is not None:
@@ -317,39 +300,33 @@ class ConnectorService:
             self._index_digest = index_digest_of(self.graph, self._csr)
         return self._index_digest
 
-    def _backend_name(self, options: SolveOptions) -> str:
-        if self.graph is not None:
-            return _resolve_backend(options.backend, self.graph)
-        # CSR-only services (parallel workers) have no dict fallback.
-        if options.backend == "dict":
-            raise GraphError("backend='dict' needs the original graph")
-        if options.backend == "csr" or HAS_NUMPY:
-            return "csr"
-        raise GraphError("a CSR-only service requires numpy")
+    def _csr_index(self) -> CSRGraph:
+        """The current epoch's CSR arrays, built on first use.
 
-    def _engine(self, backend_name: str):
-        engine = self._engines.get(backend_name)
-        if engine is None:
-            if backend_name == "csr":
-                from repro.core.fastpath import CSRWienerSteinerEngine
+        Built through the version index so the epoch counter and the
+        arrays can never describe different graphs.
+        """
+        if self._csr is None:
+            self._csr = self._versioned.csr
+        return self._csr
 
-                if self._csr is None:
-                    # Built through the version index so the epoch counter
-                    # and the arrays can never describe different graphs.
-                    self._csr = self._versioned.csr
-                engine = CSRWienerSteinerEngine(
-                    self.graph,
-                    csr=self._csr,
-                    max_cached_roots=self._max_cached_roots,
-                )
-            else:
-                engine = _make_engine(
-                    backend_name, self.graph, self._max_cached_roots
-                )
-            # Keyed by backend name, so the ceiling is the number of
-            # engine backends (three) — bounded by the key domain.
-            self._engines[backend_name] = engine  # repro-lint: disable=RPR004
-        return engine
+    def _sweep_engine(self) -> CSRWienerSteinerEngine:
+        if self._engine is None:
+            self._engine = CSRWienerSteinerEngine(
+                self.graph,
+                csr=self._csr_index(),
+                max_cached_roots=self._max_cached_roots,
+            )
+        return self._engine
+
+    @property
+    def _engines(self) -> dict:
+        """``{"csr": engine}`` once the engine exists, else ``{}``.
+
+        The mapping shape the benchmark's cache-byte probe
+        (``perfbench/layers.py``) walks.
+        """
+        return {} if self._engine is None else {"csr": self._engine}
 
     def _merge(self, options: SolveOptions | None) -> SolveOptions:
         if options is None:
@@ -390,25 +367,22 @@ class ConnectorService:
           roots' candidate sets are never materialized);
         * **λ work sharing**: each root's candidates are built for the
           whole grid in one engine batch at the root's first unpruned
-          encounter (one vectorized reweighting pass on the CSR backend,
-          one shared arc list on the dict backend), honoring the
+          encounter (one vectorized reweighting pass), honoring the
           candidate LRU per ``(root, λ)`` entry.
         """
         started = time.perf_counter()
         self._validate(query_set)
-        backend_name = self._backend_name(options)
 
         if len(query_set) == 1:
             only = next(iter(query_set))
             return SweepOutcome(
                 nodes=frozenset([only]), root=only, lam=None, candidates=1,
-                key=0.0, backend=backend_name,
-                runtime_seconds=time.perf_counter() - started,
+                key=0.0, runtime_seconds=time.perf_counter() - started,
             )
 
         root_list = _root_list(options, query_set)
 
-        engine = self._engine(backend_name)
+        engine = self._sweep_engine()
 
         # Line 1: one BFS per candidate root (cached by the engine, shared
         # across every query that mentions the root).
@@ -459,8 +433,7 @@ class ConnectorService:
                 per_lam = batches.get(root)
                 if per_lam is None:
                     per_lam = self._candidates_for_root(
-                        engine, backend_name, root, grid, query_set,
-                        options.adjust,
+                        engine, root, grid, query_set, options.adjust
                     )
                     batches[root] = per_lam
                 candidate = per_lam[lam_i]
@@ -498,13 +471,11 @@ class ConnectorService:
             lam=best_lambda,
             candidates=len(scored),
             key=best_key,
-            backend=backend_name,
             runtime_seconds=time.perf_counter() - started,
         )
 
     def _candidates_for_root(
-        self, engine, backend_name: str, root, grid: list, query_set,
-        adjust: bool,
+        self, engine, root, grid: list, query_set, adjust: bool
     ) -> list:
         """All of one root's grid candidates, batch-built through the LRU.
 
@@ -517,9 +488,7 @@ class ConnectorService:
         per_lam: list = [None] * len(grid)
         missing: list[int] = []
         for i, lam in enumerate(grid):
-            cached = self._candidates.get(
-                (backend_name, root, lam, query_set, adjust)
-            )
+            cached = self._candidates.get((root, lam, query_set, adjust))
             if cached is not None:
                 per_lam[i] = cached
             else:
@@ -531,7 +500,7 @@ class ConnectorService:
             for i, candidate in zip(missing, built):
                 per_lam[i] = candidate
                 self._candidates.put(
-                    (backend_name, root, grid[i], query_set, adjust), candidate
+                    (root, grid[i], query_set, adjust), candidate
                 )
         return per_lam
 
@@ -564,8 +533,7 @@ class ConnectorService:
         Exact and sampled scores depend only on the candidate set (the
         sampled estimator is deterministically seeded), so they are cached
         across roots, λ values, *and* queries; the proxy ``A(H, r)`` is
-        root-dependent and cheap, so it is computed directly.  Both
-        backends return bit-equal scores, hence one shared cache.
+        root-dependent and cheap, so it is computed directly.
         """
         selection = options.selection
         use_exact = selection == "wiener" or (
@@ -671,90 +639,19 @@ class ConnectorService:
         self,
         queries: Iterable[Iterable[Node]],
         options: SolveOptions | None = None,
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
     ) -> list[ConnectorResult]:
         """Solve a batch of queries; returns results in input order.
 
-        Sequentially (default) the batch flows through :meth:`solve`, so
-        the engine's root BFS cache deduplicates shared roots across
-        queries and repeated queries are free.  With ``parallel=True`` the
-        *distinct* uncached queries are distributed over worker processes
-        that receive the shared CSR int arrays (not a pickled graph) and
-        keep their own engine caches for the jobs they serve.
+        The batch flows through :meth:`solve`, so the engine's root BFS
+        cache deduplicates shared roots across queries and repeated
+        queries are free.  To spread a batch over processes, serve it
+        through :class:`~repro.core.sharded.ShardedConnectorService`.
         """
-        query_sets = [frozenset(q) for q in queries]
         opts = self._merge(options)
-        if not parallel or opts.method != "ws-q":
-            return [self.solve(query_set, opts) for query_set in query_sets]
-        return self._solve_many_parallel(query_sets, opts, max_workers)
-
-    def solve_parallel_roots(
-        self,
-        query: Iterable[Node],
-        options: SolveOptions | None = None,
-        *,
-        max_workers: int | None = None,
-    ) -> ConnectorResult:
-        """The §6.6 Map-Reduce: one worker per candidate root.
-
-        Each worker receives the shared CSR arrays, sweeps the λ grid for
-        its single root with exact (``"wiener"``) scoring, and reports the
-        best candidate; the driver keeps the overall winner.  Equivalent
-        in quality to :meth:`solve` with ``selection="wiener"`` (ties
-        between equal-quality candidates may resolve differently).
-        """
-        if self.graph is None:
-            raise GraphError("solve_parallel_roots needs the original graph")
-        opts = self._merge(options).replace(selection="wiener")
-        query_set = frozenset(query)
-        self._validate(query_set)
-        if len(query_set) == 1:
-            return self.solve(query_set, opts)
-
-        roots = _root_list(opts, query_set)
-        workers = max_workers or min(len(roots), os.cpu_count() or 1)
-        jobs = [(tuple(sorted(query_set, key=repr)), (root,)) for root in roots]
-        payload = self.worker_payload(opts)
-        best: SweepOutcome | None = None
-        total_candidates = 0
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(payload,),
-        )
-        try:
-            for solved in pool.map(_worker_solve_roots, jobs):
-                total_candidates += solved.candidates
-                if best is None or solved.key < best.key:
-                    best = solved
-        finally:
-            # A worker fault surfaces mid-iteration; without cancelling the
-            # queued jobs the join can only happen after every remaining job
-            # runs, and an interrupted parent leaks pool semaphores.  The
-            # explicit finally-joined shutdown reaps the workers on every
-            # exit path (tests/test_service.py asserts clean teardown).
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        assert best is not None and best.key < math.inf
-        self._queries_served += 1
-        return ConnectorResult(
-            host=self.graph,
-            nodes=best.nodes,
-            query=query_set,
-            method="ws-q",
-            metadata={
-                "root": best.root,
-                "parallel": True,
-                "workers": workers,
-                "candidates": total_candidates,
-                "backend": best.backend,
-            },
-        )
+        return [self.solve(frozenset(query), opts) for query in queries]
 
     # ------------------------------------------------------------------
-    # Parallel plumbing (array shipping)
+    # Replica plumbing (array shipping)
     # ------------------------------------------------------------------
     def worker_payload(
         self,
@@ -764,97 +661,26 @@ class ConnectorService:
     ) -> dict:
         """The picklable seed of a worker-side replica of this service.
 
-        For the CSR backend that is the two int arrays plus the label
-        list — orders of magnitude less pickling than the dict-of-sets
-        ``Graph`` the old ``core.parallel`` shipped.  The dict backend
-        (no numpy, or forced) still ships the graph.  ``cache_limits``
-        forwards ``max_cached_*`` constructor bounds to the replica, so a
-        sharded deployment can pin every shard's memory footprint.
+        That is the two CSR int arrays plus the label list — orders of
+        magnitude less pickling than a dict-of-sets ``Graph``.
+        ``cache_limits`` forwards ``max_cached_*`` constructor bounds to
+        the replica, so a sharded deployment can pin every shard's memory
+        footprint.
 
         Feed the payload to :func:`service_from_payload` in the worker.
         """
-        opts = self._merge(options)
-        payload: dict = {
-            "options": opts,
+        csr = self._csr_index()
+        return {
+            "options": self._merge(options),
             "limits": dict(cache_limits) if cache_limits else {},
             # The graph version the payload captures: a replica built from
             # it starts at this epoch, so a respawn after deltas reports
             # the right version in the mutate/handshake protocol.
             "epoch": self.epoch,
+            "indptr": csr.indptr,
+            "indices": csr.indices,
+            "node_of": csr.node_of,
         }
-        if self._backend_name(opts) == "csr":
-            self._engine("csr")  # ensures self._csr exists
-            csr = self._csr
-            payload.update(
-                kind="csr",
-                indptr=csr.indptr,
-                indices=csr.indices,
-                node_of=csr.node_of,
-            )
-        else:
-            payload.update(kind="graph", graph=self.graph)
-        return payload
-
-    def _solve_many_parallel(
-        self,
-        query_sets: Sequence[frozenset],
-        opts: SolveOptions,
-        max_workers: int | None,
-    ) -> list[ConnectorResult]:
-        # Deduplicate the batch and strip queries already served: workers
-        # only ever see distinct, uncached work.  Results for this batch
-        # are held in a local map so LRU eviction (a bounded result cache
-        # smaller than the batch) can never lose them mid-call.
-        batch: dict[frozenset, ConnectorResult] = {}
-        pending: list[frozenset] = []
-        pending_set: set[frozenset] = set()
-        for query_set in query_sets:
-            if query_set in batch or query_set in pending_set:
-                continue
-            cached = self._results.get((query_set, opts))
-            if cached is not None:
-                batch[query_set] = cached
-            else:
-                self._validate(query_set)
-                pending.append(query_set)
-                pending_set.add(query_set)
-        if pending:
-            payload = self.worker_payload(opts)
-            # Batch-level root co-location: queries that share terminals
-            # share per-root BFS tables inside a worker's engine cache, so
-            # order the batch by its canonical root tuple and hand the
-            # pool contiguous chunks — overlapping queries land in one
-            # process and reuse its tables instead of recomputing them
-            # across the pool.  Results are keyed by query set, so the
-            # reorder cannot change what any caller receives.
-            pending.sort(
-                key=lambda q: tuple(repr(r) for r in _root_list(opts, q))
-            )
-            jobs = [tuple(sorted(q, key=repr)) for q in pending]
-            workers = max_workers or min(len(pending), os.cpu_count() or 1)
-            chunksize = max(1, len(jobs) // (workers * 4))
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(payload,),
-            )
-            try:
-                solutions = pool.map(_worker_solve, jobs, chunksize=chunksize)
-                for query_set, solved in zip(pending, solutions):
-                    result = self._to_result(
-                        query_set,
-                        solved,
-                        extra={"parallel": True, "workers": workers},
-                    )
-                    batch[query_set] = result
-                    self._results.put((query_set, opts), result)
-            finally:
-                # Join the pool on *every* exit path and cancel what never
-                # started: a fault in one worker job must not strand queued
-                # jobs or leak the pool's semaphores past the call.
-                pool.shutdown(wait=True, cancel_futures=True)
-        self._queries_served += len(query_sets)
-        return [batch[query_set] for query_set in query_sets]
 
     def _to_result(
         self, query_set: frozenset, solved: SweepOutcome, extra: dict | None = None
@@ -863,7 +689,6 @@ class ConnectorService:
             "root": solved.root,
             "lambda": solved.lam,
             "candidates": solved.candidates,
-            "backend": solved.backend,
             "runtime_seconds": solved.runtime_seconds,
         }
         if extra:
@@ -888,8 +713,7 @@ class ConnectorService:
         graph.  Connectors are small (tens of vertices), so this stays
         cheap even on a 10^6-node instance.
         """
-        self._engine("csr")  # ensures self._csr exists
-        csr = self._csr
+        csr = self._csr_index()
         return csr.induced(csr.indices_for(nodes)).to_graph()
 
     # ------------------------------------------------------------------
@@ -930,9 +754,10 @@ class ConnectorService:
         reachability-invariance pass over the delta decides, per cached
         entry, whether the touched edges can reach the entry's answer.
 
-        * **root-BFS entries** (per engine) survive when every delta edge
-          provably preserves that root's distances and canonical parents
-          — see the engines' ``apply_delta`` for the exact rules;
+        * **root-BFS entries** survive when every delta edge provably
+          preserves that root's distances and canonical parents — see
+          :meth:`~repro.core.fastpath.CSRWienerSteinerEngine.apply_delta`
+          for the exact rules;
         * **score entries** survive unless a delta edge has *both*
           endpoints inside the scored candidate set (exact and sampled
           scores are pure functions of the induced subgraph ``G[S]``,
@@ -964,9 +789,6 @@ class ConnectorService:
             delta._check_applicable(
                 lambda u, v: csr_has_edge(self._csr, u, v)
             )
-        nodes_changed = any(
-            not self._has_node(node) for node in delta.touched_nodes()
-        )
         touched = delta.touched_edges()
 
         epoch = self._versioned.apply(delta)
@@ -981,15 +803,10 @@ class ConnectorService:
             self._build_landmark_index()
 
         retained = invalidated = 0
-        for name, engine in self._engines.items():
-            if name == "csr":
-                kept, gone = engine.apply_delta(delta, self._versioned.csr)
-            else:
-                kept, gone = engine.apply_delta(
-                    delta, nodes_changed=nodes_changed
-                )
-            retained += kept
-            invalidated += gone
+        if self._engine is not None:
+            retained, invalidated = self._engine.apply_delta(
+                delta, self._versioned.csr
+            )
         for key in self._scores.keys():
             nodes = key[1]
             if any(u in nodes and v in nodes for u, v in touched):
@@ -1008,9 +825,7 @@ class ConnectorService:
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
         """A snapshot of the cache layers (serving observability)."""
-        cached_roots = 0
-        for engine in self._engines.values():
-            cached_roots += getattr(engine, "cached_roots", 0)
+        cached_roots = 0 if self._engine is None else self._engine.cached_roots
         return ServiceStats(
             queries_served=self._queries_served,
             result_hits=self._results.hits,
@@ -1054,21 +869,15 @@ class ConnectorService:
         if self.graph is None:
             # Bare-CSR replicas (shard workers) still get landmark tables
             # — the index runs entirely on the shared int arrays.
-            if self._csr is None:
-                self._csr = self._versioned.csr
             self._landmark_index = LandmarkIndex(
-                None, num_landmarks=self._landmark_count, csr=self._csr
+                None, num_landmarks=self._landmark_count, csr=self._csr_index()
             )
         else:
-            if (
-                self._csr is None
-                and HAS_NUMPY
-                and self.graph.num_nodes >= LandmarkIndex.CSR_THRESHOLD
-            ):
+            if self.graph.num_nodes >= LandmarkIndex.CSR_THRESHOLD:
                 # Build the service's shared arrays now rather than letting
-                # the index create a private duplicate; the first CSR solve
+                # the index create a private duplicate; the first solve
                 # adopts the same object.
-                self._csr = self._versioned.csr
+                self._csr_index()
             self._landmark_index = LandmarkIndex(
                 self.graph, num_landmarks=self._landmark_count, csr=self._csr
             )
@@ -1109,19 +918,14 @@ class ConnectorService:
             else "?"
         )
         return (
-            f"{type(self).__name__}({shape}, served={self._queries_served}, "
-            f"backends={sorted(self._engines)})"
+            f"{type(self).__name__}({shape}, served={self._queries_served})"
         )
 
 
 def _root_list(options: SolveOptions, query_set: frozenset) -> list:
-    """The canonical root-candidate list of one sweep.
-
-    Shared by the sequential sweep and the parallel-roots map so the two
-    paths can never diverge on root handling (order, dedup, the Lemma-5
-    default of the query set itself) — divergence here silently breaks the
-    bit-identity contract between them.
-    """
+    """The canonical root-candidate list of one sweep: ``options.roots``
+    deduplicated in order, else the query set itself (Lemma 5) in repr
+    order."""
     roots = (
         list(dict.fromkeys(options.roots))
         if options.roots is not None
@@ -1141,8 +945,8 @@ def _sweep_root_bounds(
     reachability check has already forced, restricted to the query
     vertices — O(|roots| · |Q|) dictionary lookups, no new traversals.
     Every quantity is an integer derived deterministically from
-    ``(graph, query, options)``, so all serving paths (both backends,
-    warm or cold caches, any shard replica) compute identical bounds and
+    ``(graph, query, options)``, so all serving paths (warm or cold
+    caches, any shard replica) compute identical bounds and
     hence make identical pruning decisions.
     """
     query = sorted(query_set, key=repr)
@@ -1206,47 +1010,15 @@ def _sweep_root_bounds(
 def service_from_payload(payload: dict) -> ConnectorService:
     """Rebuild a worker-side :class:`ConnectorService` from a payload.
 
-    The inverse of :meth:`ConnectorService.worker_payload` — this is the
-    whole picklable worker API: a ``"csr"`` payload yields a graph-less
-    service sharing the router's int arrays (it can :meth:`~ConnectorService.sweep`
-    but not build results), a ``"graph"`` payload yields a full replica.
-    Used by both the per-batch pools above and the persistent shard
-    processes of :mod:`repro.core.sharded`.
+    The inverse of :meth:`ConnectorService.worker_payload`: a graph-less
+    service sharing the router's int arrays (it can
+    :meth:`~ConnectorService.sweep` but not run baseline methods).  Used
+    by the persistent shard processes of :mod:`repro.core.sharded`.
     """
-    limits = payload.get("limits") or {}
-    epoch = payload.get("epoch", 0)
-    if payload["kind"] == "csr":
-        csr = CSRGraph(payload["indptr"], payload["indices"], payload["node_of"])
-        return ConnectorService(
-            csr=csr, options=payload["options"], epoch=epoch, **limits
-        )
+    csr = CSRGraph(payload["indptr"], payload["indices"], payload["node_of"])
     return ConnectorService(
-        payload["graph"], options=payload["options"], epoch=epoch, **limits
+        csr=csr,
+        options=payload["options"],
+        epoch=payload.get("epoch", 0),
+        **(payload.get("limits") or {}),
     )
-
-
-# ----------------------------------------------------------------------
-# Worker-process globals (installed once per process by the initializer).
-# ----------------------------------------------------------------------
-_WORKER_SERVICE: ConnectorService | None = None
-
-
-def _worker_init(payload) -> None:
-    global _WORKER_SERVICE
-    _WORKER_SERVICE = service_from_payload(payload)
-
-
-def _worker_solve(query_tuple) -> SweepOutcome:
-    """solve_many job: one full sweep for one query."""
-    assert _WORKER_SERVICE is not None
-    return _WORKER_SERVICE._solve_ws(
-        frozenset(query_tuple), _WORKER_SERVICE.options
-    )
-
-
-def _worker_solve_roots(args) -> SweepOutcome:
-    """parallel-roots job: sweep the λ grid for one pinned root."""
-    assert _WORKER_SERVICE is not None
-    query_tuple, roots = args
-    options = _WORKER_SERVICE.options.replace(roots=roots)
-    return _WORKER_SERVICE._solve_ws(frozenset(query_tuple), options)

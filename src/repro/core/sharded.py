@@ -21,8 +21,7 @@ designed for — so the router stays small:
   is a long-lived ``ConnectorService`` replica reached through a
   :class:`ShardTransport`.  The built-in :class:`_PipeShardTransport`
   owns a local worker process seeded with the router's bare CSR int
-  arrays (a pickled ``Graph`` is shipped only on the no-numpy dict
-  fallback); :class:`repro.serving.remote.RemoteShardTransport` instead
+  arrays; :class:`repro.serving.remote.RemoteShardTransport` instead
   speaks the JSON-lines wire format to a ``repro shard-host`` daemon that
   may live on *another machine*.  Either way each replica keeps its *own*
   root-BFS / candidate / score / sweep LRU layers, so warm traffic is
@@ -552,9 +551,6 @@ class _PipeShardTransport:
         return f"{type(self).__name__}(shard={self.shard_id}, pid={self.process.pid})"
 
 
-#: Backwards-compatible private alias (pre-transport name).
-_Shard = _PipeShardTransport
-
 
 class _InflightRequest:
     """One scattered request: its key, payload, and current placement."""
@@ -602,8 +598,7 @@ class ShardedStats:
     """Router counters plus one :class:`ServiceStats` snapshot per live shard.
 
     ``router_local`` is the router-side fallback service that answers
-    what shard replicas cannot (non-``ws-q`` methods, per-call
-    ``backend="dict"`` overrides on CSR-seeded shards); its cache traffic
+    what shard replicas cannot (non-``ws-q`` methods); its cache traffic
     counts toward the aggregate hit numbers below so a baseline-method
     workload does not read as "never warm" just because it is sharded.
 
@@ -928,11 +923,6 @@ class ShardedConnectorService:
             for shard_id in sorted(self._specs)
         )
 
-    @property
-    def payload_kind(self) -> str:
-        """``"csr"`` (bare int arrays) or ``"graph"`` (no-numpy fallback)."""
-        return self._payload["kind"]
-
     def resize(self, shards: int | Sequence[str]) -> None:
         """Grow, shrink, or roll the shard topology and rebuild the ring.
 
@@ -1211,19 +1201,16 @@ class ShardedConnectorService:
 
         Distinct keys are scattered to their home shards and solved
         concurrently; identical in-flight keys are sent once and every
-        duplicate position receives the same result object.  Requests the
-        shard replicas cannot serve — non-``ws-q`` methods and, on
-        CSR-seeded shards, a per-call ``backend="dict"`` override, both of
-        which need the host graph — fall back to the router's local
-        service with the same answers.
+        duplicate position receives the same result object.  Non-``ws-q``
+        methods need the host graph, which the array-seeded shard
+        replicas do not have, so the router's local service answers them
+        with the same results.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
         opts = self._local._merge(options)
         query_sets = [frozenset(query) for query in queries]
-        if opts.method != "ws-q" or (
-            opts.backend == "dict" and self._payload["kind"] == "csr"
-        ):
+        if opts.method != "ws-q":
             return [self._local.solve(query_set, opts) for query_set in query_sets]
         for query_set in query_sets:
             self._local._validate(query_set)

@@ -10,8 +10,7 @@ BFS per node (``O(|V| (|V| + |E|))``); for the large solutions produced by
 baseline methods we also provide a pair-sampling estimator, matching the
 paper's Remark 1 ("approximate the Wiener index" for large candidates).
 
-Above :data:`CSR_DISPATCH_THRESHOLD` nodes (and when numpy is available),
-:func:`wiener_index` and :func:`wiener_index_sampled` convert to the CSR
+Above :data:`CSR_DISPATCH_THRESHOLD` nodes, :func:`wiener_index` and :func:`wiener_index_sampled` convert to the CSR
 array backend once and run their BFS passes there — the ``O(|E|)``
 relabeling is amortized over the traversals.  Distance sums are integers
 (and the sampled estimator draws the same sources either way), so the
@@ -35,10 +34,8 @@ CSR_DISPATCH_THRESHOLD = 128
 def _csr_or_none(graph: Graph):
     if graph.num_nodes < CSR_DISPATCH_THRESHOLD:
         return None
-    from repro.graphs.csr import HAS_NUMPY, CSRGraph
+    from repro.graphs.csr import CSRGraph
 
-    if not HAS_NUMPY:
-        return None
     return CSRGraph.from_graph(graph)
 
 

@@ -40,9 +40,10 @@ shard-host daemons.  Same framing, extra ops and version stamping:
   the daemon's ``"epoch"`` so the router can bridge the gap with
   catch-up.
 * ``{"op": "sweep", "request": b64, "epoch": n, "id": ...}`` — one
-  λ×root sweep.  ``request`` is :func:`encode_pickled` of
+  λ×root sweep.  ``request`` is
+  :func:`~repro.serving.pickled.encode_pickled` of
   ``(query_tuple, options)`` and the success response carries
-  ``"outcome"``, :func:`encode_pickled` of the shard's
+  ``"outcome"``, the same encoding of the shard's
   :class:`~repro.core.service.SweepOutcome` — exactly the object a
   pipe-backed shard would ship, so the router rebuilds identical
   :class:`~repro.core.result.ConnectorResult` objects either way — plus
@@ -83,17 +84,10 @@ import math
 from repro.core.options import SolveOptions
 from repro.core.result import ConnectorResult
 
-# Compatibility re-export: the pickle codec moved to its own module
-# (repro.serving.pickled) so the trusted-cluster boundary is a file
-# boundary the linter can police; older callers imported it from here.
-from repro.serving.pickled import decode_pickled, encode_pickled
-
 __all__ = [
     "canonical_sort",
     "decode_line",
-    "decode_pickled",
     "encode_line",
-    "encode_pickled",
     "options_from_payload",
     "result_to_payload",
 ]

@@ -260,7 +260,14 @@ class TestMain:
         assert entry["query"] == [0, 1, 2]
         assert set(entry["query"]) <= set(entry["nodes"])
         assert entry["wiener_index"] == pytest.approx(entry["wiener_index"])
-        assert entry["metadata"]["backend"] in ("csr", "dict")
+        assert "backend" not in entry["metadata"]
+        # the served connector is the dict oracle's, bit for bit
+        from oracle import oracle_solve
+        from repro.datasets import load_dataset
+
+        expected = oracle_solve(load_dataset("football"), [0, 1, 2])
+        assert entry["nodes"] == sorted(expected.nodes)
+        assert entry["metadata"]["root"] == expected.metadata["root"]
 
     def test_query_batch_matches_one_shot(self, tmp_path, capsys):
         """The served batch must return exactly the one-shot connectors."""

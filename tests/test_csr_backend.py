@@ -3,8 +3,9 @@
 The contract under test is strong: the CSR kernels must return results
 *identical* to the dict reference implementations — identical distances,
 identical canonical BFS/Voronoi trees, identical Steiner trees, and
-identical ``wiener_steiner`` connectors — on random corpora, not merely
-results of equal quality.
+identical ``wiener_steiner`` connectors (against the dict oracle engine
+of ``tests/oracle.py``) — on random corpora, not merely results of equal
+quality.
 """
 
 import math
@@ -13,10 +14,9 @@ import random
 import pytest
 
 from helpers import random_connected_graph, random_weighted_graph
-from repro.core.fastpath import (
-    mehlhorn_steiner_csr,
-    voronoi_dijkstra_csr,
-)
+from oracle import oracle_solve
+from repro.core.fastpath import CSRWienerSteinerEngine, _voronoi_phase, mehlhorn_steiner_csr
+from repro.core.service import ConnectorService
 from repro.core.steiner import (
     canonical_forest_from_distances,
     dijkstra_distances_canonical,
@@ -25,7 +25,7 @@ from repro.core.steiner import (
     voronoi_dijkstra_canonical,
 )
 from repro.core.wiener_steiner import wiener_steiner
-from repro.graphs.csr import HAS_NUMPY, CSRGraph, order_map
+from repro.graphs.csr import CSRGraph, order_map
 from repro.graphs.generators import connectify, erdos_renyi
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
@@ -35,8 +35,6 @@ from repro.graphs.traversal import (
     multi_source_bfs,
 )
 from repro.graphs.wiener import rooted_distance_sum, wiener_index
-
-pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="CSR backend needs numpy")
 
 
 class TestCSRStructure:
@@ -142,26 +140,27 @@ class TestDijkstraInlineParents:
 class TestSteinerEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_voronoi_dijkstra_identical(self, seed):
+        """CSR phase 1 (scipy distances + canonical forest) reproduces the
+        dict twin's distances and canonical forest exactly."""
         wg = random_weighted_graph(30, 110, seed + 9800)
         order = order_map(wg)
         node_of = list(wg.nodes())
         rng = random.Random(seed)
         sources = rng.sample(node_of, 4)
-        expected = voronoi_dijkstra_canonical(wg, sources, order, node_of)
+        terminal_indices = sorted(order[s] for s in sources)
+        dist = dijkstra_distances_canonical(wg, sources, order, node_of)
+        # The settle-order heap agrees with the distance-only Dijkstra.
+        assert voronoi_dijkstra_canonical(wg, sources, order, node_of)[0] == dist
+        parent, closest = canonical_forest_from_distances(
+            wg, dist, order, node_of, terminal_indices
+        )
         csr, weights = CSRGraph.from_weighted_graph(wg)
-        actual = voronoi_dijkstra_csr(
-            csr.indptr.tolist(),
-            csr.indices.tolist(),
-            weights.tolist(),
-            csr.num_nodes,
-            [order[s] for s in sources],
+        csr_dist, csr_parent, csr_closest = _voronoi_phase(
+            csr, weights, terminal_indices
         )
-        assert actual == tuple(expected) or list(actual) == list(expected)
-        # distance-only variant agrees too
-        assert (
-            dijkstra_distances_canonical(wg, sources, order, node_of)
-            == expected[0]
-        )
+        assert csr_dist.tolist() == dist
+        assert csr_parent == list(parent)
+        assert csr_closest.tolist() == list(closest)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_canonical_forest_consistent(self, seed):
@@ -205,7 +204,8 @@ class TestSteinerEquivalence:
 
 
 class TestBackendEquality:
-    """The headline acceptance property: identical connectors."""
+    """The headline acceptance property: the CSR engine behind
+    ``wiener_steiner`` returns the dict oracle's connectors exactly."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_connectors_identical(self, seed):
@@ -214,12 +214,11 @@ class TestBackendEquality:
         g = connectify(erdos_renyi(n, rng.uniform(0.05, 0.3), rng=rng), rng=rng)
         k = min(rng.randint(2, 6), g.num_nodes)
         query = rng.sample(sorted(g.nodes()), k)
-        a = wiener_steiner(g, query, backend="dict")
-        b = wiener_steiner(g, query, backend="csr")
+        a = oracle_solve(g, query)
+        b = wiener_steiner(g, query)
         assert a.nodes == b.nodes
         assert a.wiener_index == b.wiener_index
-        assert a.metadata["backend"] == "dict"
-        assert b.metadata["backend"] == "csr"
+        assert "backend" not in b.metadata
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -236,30 +235,43 @@ class TestBackendEquality:
             g = random_connected_graph(45, 0.1, seed + 10100)
             rng = random.Random(seed)
             query = rng.sample(sorted(g.nodes()), 4)
-            a = wiener_steiner(g, query, backend="dict", **kwargs)
-            b = wiener_steiner(g, query, backend="csr", **kwargs)
+            a = oracle_solve(g, query, **kwargs)
+            b = wiener_steiner(g, query, **kwargs)
             assert a.nodes == b.nodes, (seed, kwargs)
 
     def test_custom_roots_identical(self):
         g = random_connected_graph(40, 0.12, 10200)
         query = sorted(g.nodes())[:3]
         roots = sorted(g.nodes())[:8]
-        a = wiener_steiner(g, query, roots=roots, backend="dict")
-        b = wiener_steiner(g, query, roots=roots, backend="csr")
+        a = oracle_solve(g, query, roots=roots)
+        b = wiener_steiner(g, query, roots=roots)
         assert a.nodes == b.nodes
 
     def test_disconnected_host_identical(self):
         g = Graph([(0, 1), (1, 2), (2, 3), (3, 4), (10, 11), (11, 12)])
-        a = wiener_steiner(g, [0, 4], backend="dict")
-        b = wiener_steiner(g, [0, 4], backend="csr")
+        a = oracle_solve(g, [0, 4])
+        b = wiener_steiner(g, [0, 4])
         assert a.nodes == b.nodes == frozenset(range(5))
 
     def test_auto_backend_picks_csr_on_large_graphs(self):
-        g = random_connected_graph(200, 0.03, 10300)
-        query = sorted(g.nodes())[:3]
-        result = wiener_steiner(g, query)
-        assert result.metadata["backend"] == "csr"
+        """There is no backend choice left: every service sweeps on the
+        CSR engine, whatever the graph size."""
+        for n in (12, 200):
+            g = random_connected_graph(n, 0.03 if n > 100 else 0.3, 10300)
+            service = ConnectorService(g)
+            service.solve(sorted(g.nodes())[:3])
+            assert isinstance(service._engine, CSRWienerSteinerEngine)
 
     def test_unknown_backend_raises(self, path5):
-        with pytest.raises(ValueError):
-            wiener_steiner(path5, [0, 4], backend="bogus")
+        """The retired ``backend`` knob is rejected, never silently ignored."""
+        with pytest.raises(TypeError):
+            wiener_steiner(path5, [0, 4], backend="csr")
+
+
+class TestPositiveWeightContract:
+    def test_mehlhorn_csr_rejects_non_positive_weights(self):
+        wg = random_weighted_graph(12, 30, 10400)
+        csr, weights = CSRGraph.from_weighted_graph(wg)
+        weights[0] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            mehlhorn_steiner_csr(csr, weights, [0, 1])

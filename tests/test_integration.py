@@ -10,7 +10,7 @@ import pytest
 
 from repro import minimum_wiener_connector
 from repro.baselines import METHODS
-from repro.core import parallel_wiener_steiner, wiener_steiner
+from repro.core import ShardedConnectorService, SolveOptions, wiener_steiner
 from repro.core.exact import brute_force
 from repro.datasets import karate_club, load_community_dataset, load_dataset, puc_like
 from repro.experiments.reporting import render_table
@@ -80,7 +80,10 @@ class TestFullPipelines:
         rng = random.Random(2)
         query = rng.sample(sorted(graph.nodes()), 4)
         sequential = wiener_steiner(graph, query, selection="wiener")
-        parallel = parallel_wiener_steiner(graph, query, max_workers=2)
+        with ShardedConnectorService(
+            graph, SolveOptions(selection="wiener"), n_shards=2
+        ) as ring:
+            parallel = ring.solve(query)
         assert parallel.wiener_index == sequential.wiener_index
 
     def test_exact_chain_consistency(self):

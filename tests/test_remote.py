@@ -39,7 +39,8 @@ from repro.core.sharded import (
 from repro.core.wiener_steiner import wiener_steiner
 from repro.errors import DisconnectedGraphError
 from repro.graphs.graph import Graph
-from repro.serving.protocol import decode_line, encode_line, encode_pickled
+from repro.serving.pickled import encode_pickled
+from repro.serving.protocol import decode_line, encode_line
 from repro.serving.remote import (
     RemoteShardTransport,
     ShardHostServer,

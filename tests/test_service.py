@@ -2,10 +2,12 @@
 
 The contract under test is the identity contract of
 :mod:`repro.core.service`: ``ConnectorService.solve`` / ``solve_many`` —
-sequential or parallel, cold or warm caches, before and after LRU
-eviction — must return connectors *identical* to the one-shot
-``wiener_steiner`` on random corpora, while the :class:`SolveOptions` /
-:class:`Method` layer must dispatch every method uniformly.
+in-process or on the shard ring, cold or warm caches, before and after
+LRU eviction, on the CSR engine or with the dict oracle of
+``tests/oracle.py`` swapped in — must return connectors *identical* to
+the one-shot ``wiener_steiner`` on random corpora, while the
+:class:`SolveOptions` / :class:`Method` layer must dispatch every method
+uniformly.
 """
 
 import random
@@ -14,20 +16,20 @@ import pytest
 
 from helpers import (
     assert_connector_identical,
+    assert_no_orphan_processes,
     random_connected_graph,
     random_query_batch,
 )
+from oracle import ENGINES, make_service, oracle_solve
 from repro.baselines import METHODS, steiner_connector
 from repro.core.options import FunctionMethod, Method, SolveOptions
 from repro.core.service import ConnectorService, service_from_payload
+from repro.core.sharded import ShardedConnectorService
 from repro.core.wiener_steiner import wiener_steiner
 from repro.errors import DisconnectedGraphError, GraphError, InvalidQueryError
-from repro.graphs.csr import HAS_NUMPY
 from repro.graphs.graph import Graph
 from repro.graphs.landmarks import LandmarkIndex
 from repro.graphs.traversal import bfs_distances
-
-BACKENDS = ["dict"] + (["csr"] if HAS_NUMPY else [])
 
 
 class TestSolveOptions:
@@ -35,7 +37,7 @@ class TestSolveOptions:
         options = SolveOptions()
         assert options.method == "ws-q"
         assert options.selection == "auto"
-        assert options.backend == "auto"
+        assert not hasattr(options, "backend")  # one engine, no choice
 
     def test_normalizes_iterables_and_stays_hashable(self):
         options = SolveOptions(roots=[1, 2], lambda_values=[0.5, 2.0])
@@ -50,7 +52,7 @@ class TestSolveOptions:
             {"beta": 0.0},
             {"beta": -1.0},
             {"selection": "nope"},
-            {"backend": "gpu"},
+            {"selection": ""},
             {"method": ""},
             {"lambda_values": ()},
             {"exact_threshold": -1},
@@ -69,38 +71,37 @@ class TestSolveOptions:
 
 
 class TestServiceIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_one_shot_on_random_corpus(self, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_matches_one_shot_on_random_corpus(self, engine):
         rng = random.Random(101)
         for seed in range(4):
             g = random_connected_graph(rng.randint(28, 64), 0.09, seed)
-            service = ConnectorService(g, SolveOptions(backend=backend))
+            service = make_service(g, engine=engine)
             for query in random_query_batch(g, rng, 3):
                 assert_connector_identical(
-                    service.solve(query),
-                    wiener_steiner(g, query, backend=backend),
+                    service.solve(query), wiener_steiner(g, query)
                 )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warm_cache_is_identical_and_hits(self, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_warm_cache_is_identical_and_hits(self, engine):
         g = random_connected_graph(40, 0.09, 7)
         rng = random.Random(7)
-        service = ConnectorService(g, SolveOptions(backend=backend))
+        service = make_service(g, engine=engine)
         query = rng.sample(sorted(g.nodes()), 4)
         cold = service.solve(query)
         warm = service.solve(query)
         assert warm is cold  # served straight from the result cache
         assert service.stats().result_hits == 1
-        assert_connector_identical(warm, wiener_steiner(g, query, backend=backend))
+        assert_connector_identical(warm, wiener_steiner(g, query))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_identical_after_lru_eviction(self, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_identical_after_lru_eviction(self, engine):
         """Tiny LRU bounds force constant eviction; answers must not change."""
         g = random_connected_graph(36, 0.1, 13)
         rng = random.Random(13)
-        service = ConnectorService(
+        service = make_service(
             g,
-            SolveOptions(backend=backend),
+            engine=engine,
             max_cached_roots=1,
             max_cached_candidates=2,
             max_cached_scores=2,
@@ -110,8 +111,7 @@ class TestServiceIdentity:
         for _ in range(2):  # interleave so every cache layer churns
             for query in queries:
                 assert_connector_identical(
-                    service.solve(query),
-                    wiener_steiner(g, query, backend=backend),
+                    service.solve(query), wiener_steiner(g, query)
                 )
 
     def test_overlapping_queries_reuse_roots(self):
@@ -157,12 +157,11 @@ class TestServiceIdentity:
         with pytest.raises(GraphError):
             ConnectorService()
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both backends")
     def test_backends_identical_through_service(self):
         g = random_connected_graph(52, 0.08, 17)
         rng = random.Random(17)
-        csr_service = ConnectorService(g, SolveOptions(backend="csr"))
-        dict_service = ConnectorService(g, SolveOptions(backend="dict"))
+        csr_service = ConnectorService(g)
+        dict_service = make_service(g, engine="dict")
         for query in random_query_batch(g, rng, 3):
             a = csr_service.solve(query)
             b = dict_service.solve(query)
@@ -223,29 +222,37 @@ class TestShardWorkerAPI:
 
 
 class TestParallelServing:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_solve_many_parallel_matches_one_shot(self, backend):
+    """Parallel serving has one mechanism: the persistent shard ring."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_solve_many_parallel_matches_one_shot(self, engine):
         g = random_connected_graph(40, 0.1, 23)
         rng = random.Random(23)
         queries = random_query_batch(g, rng, 3, lo=2, hi=4)
         queries.append(queries[0])  # a duplicate the batch must dedupe
-        service = ConnectorService(g, SolveOptions(backend=backend))
-        results = service.solve_many(queries, parallel=True, max_workers=2)
+        reference = make_service(g, engine=engine)
+        with ShardedConnectorService(g, n_shards=2) as ring:
+            results = ring.solve_many(queries)
+            assert ring.stats().inflight_deduped == 1
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
-            assert_connector_identical(result, wiener_steiner(g, query, backend=backend))
+            assert_connector_identical(result, reference.solve(query))
         assert results[-1] is results[0]
-        assert results[0].metadata["parallel"] is True
-        assert results[0].metadata["workers"] == 2
+        assert results[0].metadata["sharded"] is True
+        assert results[0].metadata["shards"] == 2
+        assert_no_orphan_processes()
 
     def test_parallel_batch_larger_than_result_cache(self):
         """A result cache smaller than the batch must not lose results
-        mid-call (they are held locally until the batch is assembled)."""
+        mid-call (the router holds the outcomes until the batch is
+        assembled)."""
         g = random_connected_graph(36, 0.1, 67)
         rng = random.Random(67)
         queries = random_query_batch(g, rng, 4, lo=2, hi=3)
-        service = ConnectorService(g, max_cached_results=1)
-        results = service.solve_many(queries, parallel=True, max_workers=2)
+        with ShardedConnectorService(
+            g, n_shards=2, max_cached_results=1
+        ) as ring:
+            results = ring.solve_many(queries)
         for query, result in zip(queries, results):
             assert result.nodes == wiener_steiner(g, query).nodes
 
@@ -253,53 +260,48 @@ class TestParallelServing:
         g = random_connected_graph(36, 0.1, 73)
         rng = random.Random(73)
         queries = random_query_batch(g, rng, 3, lo=2, hi=3)
-        service = ConnectorService(g)
-        service.solve_many(queries, parallel=True, max_workers=2)
-        stats = service.stats()
+        distinct = len({frozenset(query) for query in queries})
+        with ShardedConnectorService(g, n_shards=2) as ring:
+            ring.solve_many(queries)
+            stats = ring.stats()
         assert stats.result_hits == 0
-        assert stats.result_misses == len(queries)
-        assert stats.queries_served == len(queries)
+        assert stats.hit_rate() == 0.0
+        assert stats.queries_served == distinct
 
     def test_worker_fault_tears_pool_down_cleanly(self):
-        """Regression: a fault inside a pool worker must fail the call AND
-        leave no pool processes (or their semaphores) behind — the shutdown
-        is finally-joined with queued jobs cancelled.  The fault is injected
-        naturally: a query spanning components passes the router-side
-        membership check and explodes only inside the worker sweep."""
-        import multiprocessing
-        import time
-
+        """A fault inside a shard's sweep fails the call, leaves the ring
+        serving, and closing the ring leaves no processes behind.  The
+        fault is injected naturally: a query spanning components passes
+        the router-side membership check and explodes only in the shard."""
         g = Graph([(0, 1), (1, 2), (2, 3), (10, 11), (11, 12)])
-        service = ConnectorService(g)
-        with pytest.raises(DisconnectedGraphError):
-            service.solve_many(
-                [[0, 11], [0, 3], [1, 3]], parallel=True, max_workers=2
-            )
-        deadline = time.monotonic() + 5.0
-        while multiprocessing.active_children():
-            assert time.monotonic() < deadline, (
-                f"leaked pool processes: {multiprocessing.active_children()}"
-            )
-            time.sleep(0.01)
-        # the service itself must survive the failed batch
-        [result] = service.solve_many([[0, 3]], parallel=True, max_workers=2)
-        assert result.nodes == wiener_steiner(g, [0, 3]).nodes
+        with ShardedConnectorService(g, n_shards=2) as ring:
+            with pytest.raises(DisconnectedGraphError):
+                ring.solve_many([[0, 11], [0, 3], [1, 3]])
+            # the ring itself must survive the failed batch
+            [result] = ring.solve_many([[0, 3]])
+            assert result.nodes == wiener_steiner(g, [0, 3]).nodes
+        assert_no_orphan_processes()
 
     def test_parallel_skips_already_cached(self):
         g = random_connected_graph(36, 0.1, 29)
         rng = random.Random(29)
         query = rng.sample(sorted(g.nodes()), 4)
-        service = ConnectorService(g)
-        sequential = service.solve(query)
-        [parallel] = service.solve_many([query], parallel=True, max_workers=2)
-        assert parallel is sequential  # no worker pool touched for it
+        with ShardedConnectorService(g, n_shards=2) as ring:
+            first = ring.solve(query)
+            before = ring.stats()
+            again = ring.solve(query)
+            after = ring.stats()
+        assert_connector_identical(again, first)
+        assert after.result_hits == before.result_hits + 1
+        # answered from the shard's result cache: no new sweep pairs
+        assert after.pairs_scored == before.pairs_scored
+        assert after.pairs_pruned == before.pairs_pruned
 
 
 class TestSampledSelection:
-    @pytest.mark.skipif(not HAS_NUMPY, reason="parity needs both backends")
     def test_backend_parity_when_sampling(self):
         """``exact_threshold=0`` forces the sampled estimator for every
-        candidate; the backends must still agree bit for bit."""
+        candidate; the engine and the oracle must still agree bit for bit."""
         options = SolveOptions(
             selection="sampled", exact_threshold=0, sample_sources=3
         )
@@ -307,15 +309,11 @@ class TestSampledSelection:
         for seed in range(3):
             g = random_connected_graph(rng.randint(28, 56), 0.1, seed)
             query = rng.sample(sorted(g.nodes()), 4)
-            a = wiener_steiner(
-                g, query, selection="sampled", backend="csr"
-            )
-            b = wiener_steiner(
-                g, query, selection="sampled", backend="dict"
-            )
+            a = wiener_steiner(g, query, selection="sampled")
+            b = oracle_solve(g, query, selection="sampled")
             assert a.nodes == b.nodes
-            a2 = ConnectorService(g, options.replace(backend="csr")).solve(query)
-            b2 = ConnectorService(g, options.replace(backend="dict")).solve(query)
+            a2 = ConnectorService(g, options).solve(query)
+            b2 = make_service(g, options, engine="dict").solve(query)
             assert a2.nodes == b2.nodes
 
     def test_sampled_covering_sources_equals_exact(self):
@@ -330,7 +328,6 @@ class TestSampledSelection:
         exact = wiener_steiner(g, query, selection="wiener")
         assert sampled.nodes == exact.nodes
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR dispatch needs numpy")
     def test_wiener_index_sampled_csr_matches_dict(self, monkeypatch):
         import repro.graphs.wiener as wiener_mod
 
@@ -436,7 +433,6 @@ class TestServiceLandmarks:
         with pytest.raises(GraphError):
             service.estimate_distance(0, 1)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="CSR tables need numpy")
     def test_csr_tables_match_dict_tables(self):
         g = random_connected_graph(150, 0.05, 61)
         fast = LandmarkIndex(g, num_landmarks=3)

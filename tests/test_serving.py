@@ -78,6 +78,12 @@ class TestProtocol:
         with pytest.raises(ValueError, match="JSON object"):
             options_from_payload([1, 2])
 
+    def test_options_retired_backend_field_rejected(self):
+        """There is one engine, so ``backend`` is an unknown field now."""
+        for value in ("auto", "csr", "dict"):
+            with pytest.raises(ValueError, match="unknown option fields"):
+                options_from_payload({"backend": value})
+
     def test_encode_decode_line(self):
         message = {"query": [1, 2], "id": 7}
         assert decode_line(encode_line(message)) == message

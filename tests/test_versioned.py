@@ -33,10 +33,11 @@ from helpers import (
     random_query_batch,
     spawn_shard_host,
 )
+from oracle import make_service
 from repro.core.gateway import AsyncGateway
 from repro.core.options import SolveOptions
 from repro.core.retry import BackoffPolicy
-from repro.core.service import ConnectorService
+from repro.core.service import ConnectorService, service_from_payload
 from repro.core.sharded import ShardLinkError, ShardedConnectorService
 from repro.core.versioned import (
     GraphDelta,
@@ -393,12 +394,11 @@ class TestIndexDigestProperties:
             assert index_digest_of(probe) != baseline
 
     def test_digest_agrees_across_backends_under_mutation(self):
+        """A graph-holding service and an arrays-only replica of it digest
+        identically at every epoch."""
         rng = random.Random(29)
         dict_service = ConnectorService(random_connected_graph(30, 0.15, 29))
-        csr_service = ConnectorService(
-            random_connected_graph(30, 0.15, 29),
-            SolveOptions(backend="csr"),
-        )
+        csr_service = service_from_payload(dict_service.worker_payload())
         assert dict_service.index_digest() == csr_service.index_digest()
         for _ in range(3):
             delta = delta_for(dict_service.graph, rng)
@@ -487,10 +487,12 @@ class TestServiceApplyDelta:
         assert_connector_identical(service.solve(query), before)
 
     def test_dict_and_csr_services_stay_bit_identical_under_mutation(self):
+        """Replay parity across deltas: the dict oracle's scoped
+        invalidation and the CSR engine's agree with a cold solve."""
         rng = random.Random(47)
         graph = random_connected_graph(40, 0.12, seed=47)
-        dict_service = ConnectorService(graph.copy())
-        csr_service = ConnectorService(graph.copy(), SolveOptions(backend="csr"))
+        dict_service = make_service(graph.copy(), engine="dict")
+        csr_service = ConnectorService(graph.copy())
         queries = random_query_batch(graph, rng, 6)
         reference = graph.copy()
         for _ in range(2):
