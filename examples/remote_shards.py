@@ -18,9 +18,10 @@ The walkthrough runs the full story:
    is routed;
 3. solve a batch (with duplicates) twice: the second pass is answered
    from the daemons' warm sweep caches, bit-identically;
-4. gather per-shard cache statistics over the wire, mix a local pipe
-   shard into the same ring, and finally stop both daemons with the
-   remote ``shutdown`` op — they exit 0 with nothing orphaned.
+4. gather per-shard cache statistics over the wire, mix a local shard
+   (a child process on a socketpair, speaking the same wire) into the
+   same ring, and finally stop both daemons with the remote
+   ``shutdown`` op — they exit 0 with nothing orphaned.
 
 Run with::
 
@@ -82,9 +83,9 @@ def main() -> None:
         for query, result in zip(queries, cold):
             reference = wiener_steiner(graph, query)
             marker = "==" if result.nodes == reference.nodes else "!!"
-            print(f"  query {query} -> shard {result.metadata['shard']} "
-                  f"({result.metadata['transport']}), connector of "
-                  f"{len(result.nodes)} vertices {marker} one-shot solver")
+            print(f"  query {query} -> shard {result.metadata['shard']}, "
+                  f"connector of {len(result.nodes)} vertices {marker} "
+                  "one-shot solver")
         assert all(a.nodes == b.nodes for a, b in zip(cold, warm))
         print(f"router: {stats.requests_routed} routed, "
               f"{stats.inflight_deduped} deduped in flight, "
@@ -94,13 +95,13 @@ def main() -> None:
             print(f"  shard {shard_id}: {shard.queries_served} served, "
                   f"{shard.cached_roots} roots cached")
 
-        print("\nmixing one local pipe shard into the same ring...")
+        print("\nmixing one local shard into the same ring...")
         with ShardedConnectorService(
             graph, shards=[addresses[0], "local"]
         ) as mixed:
             results = mixed.solve_many(queries)
-            kinds = [r.metadata["transport"] for r in results]
-            print(f"  transports used per query: {kinds}")
+            slots = [r.metadata["shard"] for r in results]
+            print(f"  shard slot per query (slot 1 is local): {slots}")
             assert all(
                 a.nodes == b.nodes for a, b in zip(results, cold)
             ), "mixed ring must stay bit-identical"

@@ -31,8 +31,8 @@ the batch is routed across N persistent shard processes
 (:class:`repro.core.sharded.ShardedConnectorService`) instead —
 bit-identical answers, parallel solving.  ``--shards`` also accepts a
 comma-separated list of shard specs (``host:port`` for a ``repro
-shard-host`` daemon — possibly on another machine — or ``local`` for an
-in-process worker), so one router can front a mixed ring.  Batch files
+shard-host`` daemon — possibly on another machine — or ``local`` for a
+shard process the router forks), so one router can front a mixed ring.  Batch files
 hold one whitespace-separated query per line, or a JSON list of vertex
 lists.
 

@@ -643,7 +643,7 @@ class AsyncGateway:
         The backing services are not thread-safe, and a running gateway
         may have a window mid-``solve_many`` on the executor thread — a
         sharded ``stats()`` issued concurrently from the event loop would
-        race it on the shard pipes.  This routes the snapshot through the
+        race it on the shard links.  This routes the snapshot through the
         same single-thread executor, serializing it with the windows; on
         an idle (or just-closed) gateway no window can be in flight, so
         the direct call is safe.  Returns ``None`` when the service has

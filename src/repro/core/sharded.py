@@ -17,15 +17,16 @@ designed for — so the router stays small:
   within that list, fanning reads across the replica group (the
   hot-spot headroom PRs 3–5 kept recording) while every *repeat* of a
   key still lands on the same replica (cache affinity);
-* **persistent shard replicas behind a transport protocol** — every shard
-  is a long-lived ``ConnectorService`` replica reached through a
-  :class:`ShardTransport`.  The built-in :class:`_PipeShardTransport`
-  owns a local worker process seeded with the router's bare CSR int
-  arrays; :class:`repro.serving.remote.RemoteShardTransport` instead
-  speaks the JSON-lines wire format to a ``repro shard-host`` daemon that
-  may live on *another machine*.  Either way each replica keeps its *own*
-  root-BFS / candidate / score / sweep LRU layers, so warm traffic is
-  served shard-locally across batches;
+* **persistent shard replicas behind one wire** — every shard is a
+  long-lived ``ConnectorService`` replica behind a
+  :class:`repro.serving.remote.ShardHostServer`, reached through a
+  :class:`ShardTransport`.  A ``"local"`` slot is a child process the
+  router forks, seeded with its bare CSR int arrays; a ``"host:port"``
+  slot is a ``repro shard-host`` daemon that may live on *another
+  machine*.  Both speak the same JSON-lines wire and differ only in
+  lifecycle.  Either way each replica keeps its *own* root-BFS /
+  candidate / score / sweep LRU layers, so warm traffic is served
+  shard-locally across batches;
 * **a thin router** — :meth:`~ShardedConnectorService.solve_many`
   validates locally, dedupes identical in-flight keys (duplicates within
   a batch are sent once and fan back out to every position), preserves
@@ -39,9 +40,9 @@ Failure semantics (what fails, what degrades, what heals)
 
 The router speaks :class:`ShardTransport` only: ``submit`` /
 ``submit_stats`` scatter requests (at most :data:`MAX_INFLIGHT_PER_SHARD`
-outstanding per shard, so neither pipe nor socket buffers can deadlock),
+outstanding per shard, so no socket buffer can deadlock),
 ``drain`` gathers whatever replies have arrived without blocking,
-``waitable`` exposes the underlying pipe/socket for a multiplexed
+``waitable`` exposes the underlying socket for a multiplexed
 :func:`multiprocessing.connection.wait`, and ``probe``/``reconnect``
 carry the health surface.  Transport failures raise
 :class:`ShardTransportError` — :class:`ShardConnectError` at
@@ -66,21 +67,23 @@ so the router can tell a topology problem from a mid-flight death.
   :class:`~repro.core.retry.RetrySchedule` (``core/retry.py``), and at
   each batch boundary the router retries due slots —
   ``RemoteShardTransport.reconnect()`` re-dials and re-runs the ``hello``
-  digest handshake; a pipe transport respawns its worker.  Successful
+  digest handshake; a local slot forks a fresh child.  Successful
   revivals (``ShardedStats.reconnects``) restore the slot's exact ring
   position, so warm keys return home.
 * **Liveness is application-level**: remote transports heartbeat idle
   links with ``ping`` probes and are marked *suspect* on a missed
-  deadline; the router confirms suspects with one probe before a batch
+  deadline (a local slot is suspect once its child process has died);
+  the router confirms suspects with one probe before a batch
   touches them.  Mid-batch, a shard that has been silent past
   ``liveness_deadline`` seconds is probed and — if unreachable —
   declared dead (failover as above), bounding silent partitions and
   SIGSTOP'd daemons by the configured deadline instead of the ~60s TCP
   keepalive the transport also keeps as a backstop.
 
-Stopping a shard stops what the router owns: a pipe transport terminates
-its worker process, a remote transport merely disconnects (the daemon,
-started and owned elsewhere, keeps serving its other routers).
+Stopping a shard stops what the router owns: a local slot shuts its
+socketpair down and reaps its child, a remote transport merely
+disconnects (the daemon, started and owned elsewhere, keeps serving its
+other routers).
 
 Identity contract
 -----------------
@@ -95,7 +98,7 @@ each shard runs the same canonical λ×root sweep
 moves bytes.  The replicated surface changes *when* the router gives up,
 never *what* it returns.  ``tests/test_sharded.py``,
 ``tests/test_remote.py``, and ``tests/test_failover.py`` fuzz this
-against the one-shot solver on random corpora, over pipes, sockets,
+against the one-shot solver on random corpora, over local, remote and
 mixed rings, and chaos (kill / SIGSTOP / partition mid-stream).
 
 Rebalancing and rolling replace
@@ -172,7 +175,7 @@ class ShardTransportError(RuntimeError):
 
     Raised by :class:`ShardTransport` implementations when the link
     itself is unusable.  The router treats it exactly like a raw
-    ``OSError``/``EOFError`` from a dead pipe: the in-flight sweeps on
+    ``OSError``/``EOFError`` from a dead socket: the in-flight sweeps on
     that replica cannot be completed there, so the router fails over
     (``replication>=2``) or closes the service with one clear error
     (``replication=1``).  The two subclasses let the router and its
@@ -203,10 +206,12 @@ _TRANSPORT_FAILURES = (EOFError, OSError, ShardTransportError)
 class ShardTransport(Protocol):
     """The router-side contract of one shard replica, however reached.
 
-    Implementations: :class:`_PipeShardTransport` (a local worker process
-    over a duplex pipe) and
-    :class:`repro.serving.remote.RemoteShardTransport` (a TCP socket to a
-    ``repro shard-host`` daemon).  The router guarantees at most
+    Both implementations speak the one shard wire of
+    :mod:`repro.serving.remote` and differ only in lifecycle:
+    :class:`~repro.serving.remote.RemoteShardTransport` dials a
+    ``repro shard-host`` daemon over TCP, and its subclass
+    :class:`~repro.serving.remote.LocalShardTransport` forks and owns a
+    shard-host child on a socketpair.  The router guarantees at most
     :data:`ShardedConnectorService.MAX_INFLIGHT_PER_SHARD` submitted and
     undrained requests per transport in steady state (failover may
     briefly overshoot while a dead replica's sweeps re-dispatch), so
@@ -214,9 +219,6 @@ class ShardTransport(Protocol):
     methods raise one of :data:`_TRANSPORT_FAILURES` when the link is
     dead.
     """
-
-    #: Short tag surfaced in result metadata and stats ("pipe"/"socket").
-    kind: str
 
     def submit(
         self,
@@ -258,7 +260,7 @@ class ShardTransport(Protocol):
 
     @property
     def waitable(self):
-        """The pipe/socket for :func:`multiprocessing.connection.wait`."""
+        """The socket for :func:`multiprocessing.connection.wait`."""
         ...  # pragma: no cover - protocol definition
 
     def probe(self, timeout: float) -> bool:
@@ -276,7 +278,7 @@ class ShardTransport(Protocol):
         Raises one of :data:`_TRANSPORT_FAILURES` when the replica is
         still unreachable; on success the transport serves again with
         its caches in whatever state the replica kept (a daemon that
-        merely lost the socket stays warm, a respawned worker is cold).
+        merely lost the socket stays warm, a respawned child is cold).
         """
         ...  # pragma: no cover - protocol definition
 
@@ -289,14 +291,14 @@ class ShardTransport(Protocol):
         ...  # pragma: no cover - protocol definition
 
     def stop(self) -> None:
-        """Release what the router owns (process/pipe or socket)."""
+        """Release what the router owns (the socket, and a local child)."""
         ...  # pragma: no cover - protocol definition
 
 
 def normalize_shard_spec(spec) -> str | tuple[str, int]:
     """Validate one shard spec: ``"local"`` or ``"host:port"``.
 
-    Returns ``"local"`` for a local worker-process shard, or a
+    Returns ``"local"`` for a shard process the router forks, or a
     ``(host, port)`` pair for a remote shard-host address.  Used by both
     :class:`ShardedConnectorService` and the CLI ``--shards`` parser, so
     the accepted forms (and the error messages) cannot drift apart.
@@ -397,166 +399,35 @@ class _HashRing:
 
 
 def _shard_main(connection, payload: dict) -> None:
-    """The shard process body: one service replica, a small message loop.
+    """The body of a local shard's child process: a shard host on one link.
 
-    Messages are ``("solve", request_id, query_tuple, options, epoch)``,
-    ``("mutate", request_id, delta)``, ``("stats", request_id)`` and
-    ``("stop",)``.  Every request gets exactly one
-    ``(request_id, status, value)`` reply in receipt order, so the router
-    can account for replies per shard.  Worker faults are caught and
-    shipped back as values — a poisoned query must fail that request, not
-    the shard.
-
-    Epoch discipline: a sweep dispatched at one graph version must never
-    be answered from another.  The request carries the router's epoch and
-    is refused (a :class:`ShardLinkError` value — the link is stale, not
-    the query poisoned) when it does not match this replica's; the reply
-    re-stamps the serving epoch so the router can verify on receipt too.
+    Builds the replica from the router's payload and serves the child's
+    socketpair end with
+    :meth:`~repro.serving.remote.ShardHostServer.serve_connection`,
+    already handshaken: the router built this replica at its own epoch.
+    Each sweep is still epoch-stamped and checked on both ends.  Returns
+    on EOF (the router shut its end down) or on the ``shutdown`` op.
     """
-    service = service_from_payload(payload)
+    # Imported here: the serving layer depends on core, not the reverse.
+    from repro.serving.remote import ShardHostServer
+
+    host = ShardHostServer(service_from_payload(payload))
     try:
-        while True:
-            message = connection.recv()
-            kind = message[0]
-            if kind == "solve":
-                _, request_id, query_tuple, options, epoch = message
-                try:
-                    if epoch is not None and epoch != service.epoch:
-                        raise ShardLinkError(
-                            f"sweep dispatched at epoch {epoch} but this "
-                            f"replica serves epoch {service.epoch}"
-                        )
-                    reply = (
-                        request_id,
-                        "ok",
-                        (service.epoch, service.sweep(query_tuple, options)),
-                    )
-                except Exception as exc:
-                    reply = (request_id, "error", exc)
-                connection.send(reply)
-            elif kind == "mutate":
-                _, request_id, delta = message
-                try:
-                    reply = (request_id, "ok", service.apply_delta(delta))
-                except Exception as exc:
-                    reply = (request_id, "error", exc)
-                connection.send(reply)
-            elif kind == "stats":
-                connection.send((message[1], "ok", service.stats()))
-            elif kind == "stop":
-                break
-    except (EOFError, OSError, KeyboardInterrupt):
+        with (
+            connection,
+            connection.makefile("rb") as reader,
+            connection.makefile("wb") as writer,
+        ):
+            host.serve_connection(reader, writer, handshaken=True)
+    except (OSError, KeyboardInterrupt):
         pass  # router went away; nothing left to serve
-    finally:
-        connection.close()
-
-
-class _PipeShardTransport:
-    """Pipe-backed :class:`ShardTransport`: one local worker process.
-
-    The original (PR 3) shard shape: the router spawns a persistent
-    process running :func:`_shard_main` over a duplex pipe and owns its
-    whole lifecycle — :meth:`stop` terminates the worker, and
-    :meth:`reconnect` (the self-healing path) respawns a fresh, cold
-    one from the same payload.
-    """
-
-    kind = "pipe"
-
-    def __init__(self, shard_id: int, payload: dict, ctx) -> None:
-        self.shard_id = shard_id
-        self._payload = payload
-        self._ctx = ctx
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self.connection, child_end = self._ctx.Pipe(duplex=True)
-        self.process = self._ctx.Process(
-            target=_shard_main,
-            args=(child_end, self._payload),
-            name=f"connector-shard-{self.shard_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child_end.close()  # the child owns its end now
-
-    def update_payload(self, payload: dict) -> None:
-        """Rebase future respawns onto a new graph version.
-
-        The self-healing path (:meth:`reconnect`) spawns cold workers
-        from the stored payload; after a delta the router swaps in the
-        current-epoch payload so a revived slot rejoins at the graph
-        version the ring is serving, never a stale one.
-        """
-        self._payload = payload
-
-    def submit(
-        self,
-        request_id: int,
-        query_tuple: tuple,
-        options: SolveOptions,
-        epoch: int | None = None,
-    ) -> None:
-        self.connection.send(("solve", request_id, query_tuple, options, epoch))
-
-    def submit_mutate(self, request_id: int, delta) -> None:
-        self.connection.send(("mutate", request_id, delta))
-
-    def submit_stats(self, request_id: int) -> None:
-        self.connection.send(("stats", request_id))
-
-    def drain(self) -> list[tuple[int, str, object]]:
-        replies = []
-        while self.connection.poll(0):
-            replies.append(self.connection.recv())
-        return replies
-
-    @property
-    def waitable(self):
-        return self.connection
-
-    def probe(self, timeout: float) -> bool:
-        """A live worker process is a live pipe shard.
-
-        The pipe has no out-of-band channel, so liveness is the OS's
-        word on the process.  A worker stuck in a long sweep is alive
-        (and genuinely working); a crashed or OOM-killed one is not.
-        """
-        return self.process.is_alive()
-
-    def reconnect(self) -> None:
-        """Respawn the worker process (cold caches, same payload)."""
-        self.stop()
-        self._spawn()
-
-    def is_suspect(self) -> bool:
-        """A worker that died between batches is flagged before scatter."""
-        return not self.process.is_alive()
-
-    def clear_suspect(self) -> None:
-        """No sticky flag to clear — suspicion *is* process death."""
-
-    def stop(self, timeout: float = 5.0) -> None:
-        try:
-            self.connection.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass  # already dead; join below still reaps it
-        self.connection.close()
-        self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - defensive reaping
-            self.process.terminate()
-            self.process.join()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"{type(self).__name__}(shard={self.shard_id}, pid={self.process.pid})"
-
 
 
 class _InflightRequest:
     """One scattered request: its key, payload, and current placement."""
 
     __slots__ = ("request_id", "key", "query_tuple", "options", "replicas",
-                 "shard", "transport_kind", "kind")
+                 "shard", "kind")
 
     def __init__(self, request_id, key, query_tuple, options, replicas,
                  kind="sweep") -> None:
@@ -566,8 +437,7 @@ class _InflightRequest:
         self.options = options
         self.replicas = replicas  # primary order; failover walks this
         self.shard = None  # the slot currently serving it
-        self.transport_kind = None
-        self.kind = kind  # "sweep" | "stats"
+        self.kind = kind  # "sweep" | "mutate" | "stats"
 
 
 class _BatchState:
@@ -620,7 +490,6 @@ class ShardedStats:
     inflight_deduped: int
     shards: tuple[ServiceStats, ...]
     router_local: ServiceStats | None = None
-    transports: tuple[str, ...] = ()
     replication: int = 1
     failovers: int = 0
     shards_failed: int = 0
@@ -707,12 +576,13 @@ class ShardedConnectorService:
         Local shard-process count; defaults to ``min(4, cpu_count)``.
         Mutually exclusive with ``shards``.
     shards:
-        Explicit shard specs, one per ring slot: ``"local"`` spawns a
-        pipe-backed worker process, ``"host:port"`` connects to a
-        ``repro shard-host`` daemon (see :mod:`repro.serving.remote`).
-        Mixed rings are fine; ring placement depends only on the slot
-        count, so ``shards=["local", "local"]`` and two remote hosts
-        route identically.
+        Explicit shard specs, one per ring slot: ``"local"`` forks a
+        shard-host child process the router owns, reached over a
+        socketpair; ``"host:port"`` connects to a ``repro shard-host``
+        daemon (see :mod:`repro.serving.remote`).  Both speak the same
+        wire.  Mixed rings are fine; ring placement depends only on the
+        slot count, so ``shards=["local", "local"]`` and two remote
+        hosts route identically.
     replication:
         How many distinct replicas serve each key range (default 1 —
         exactly the pre-replication behavior, including
@@ -752,12 +622,12 @@ class ShardedConnectorService:
         with this many landmarks, and rebuild it eagerly at
         delta-apply time so post-mutate sweeps never pay the rebuild.
     mp_context:
-        An explicit :mod:`multiprocessing` context (tests pin ``"fork"``
-        where available; the default context works everywhere).
+        The :mod:`multiprocessing` context that starts local shard
+        children (default: the platform's default context).
     """
 
     #: Most requests a shard may have in flight before the router drains
-    #: its replies.  Bounds both directions of every pipe/socket far below
+    #: its replies.  Bounds both directions of every socket far below
     #: the OS buffer size, so arbitrarily large batches scatter without
     #: deadlock.  Failover may briefly overshoot this by the dead
     #: replica's re-dispatched sweeps (at most one extra cap's worth) —
@@ -829,7 +699,7 @@ class ShardedConnectorService:
             landmarks=landmarks,
         )
         # Kept so apply_delta can rebuild the payload at the new epoch
-        # (revived pipe slots respawn from it and must not be stale).
+        # (revived local slots respawn from it and must not be stale).
         # ``landmarks`` rides along the same channel: replicas built from
         # the payload own their own landmark index and rebuild it eagerly
         # at delta-apply time, off the query path.
@@ -868,16 +738,19 @@ class ShardedConnectorService:
         self._ring = _HashRing(sorted(self._specs))
 
     def _make_transport(self, shard_id: int, spec) -> ShardTransport:
-        if spec == "local":
-            return _PipeShardTransport(shard_id, self._payload, self._ctx)
-        host, port = spec
         # Imported lazily: the serving layer depends on core, so core only
-        # reaches back when a remote shard is actually requested.
-        from repro.serving.remote import RemoteShardTransport
+        # reaches back when it builds a shard.
+        from repro.serving.remote import LocalShardTransport, RemoteShardTransport
 
         # Version state goes in as *providers*, not snapshots: a revival
-        # after a delta must handshake at the epoch the ring serves now,
-        # and offer the daemon the catch-up deltas it missed while down.
+        # after a delta must respawn (local) or handshake (remote) at the
+        # epoch the ring serves now, and offer a daemon the catch-up
+        # deltas it missed while down.
+        if spec == "local":
+            return LocalShardTransport(
+                shard_id, payload=lambda: self._payload, mp_context=self._ctx
+            )
+        host, port = spec
         return RemoteShardTransport(
             shard_id,
             host,
@@ -914,22 +787,13 @@ class ShardedConnectorService:
         """The slots currently out of service, awaiting revival."""
         return tuple(sorted(self._down))
 
-    @property
-    def transports(self) -> tuple[str, ...]:
-        """The transport kind of each ring slot (``"pipe"``/``"socket"``)."""
-        return tuple(
-            (self._shards[shard_id] if shard_id in self._shards
-             else self._down[shard_id].transport).kind
-            for shard_id in sorted(self._specs)
-        )
-
     def resize(self, shards: int | Sequence[str]) -> None:
         """Grow, shrink, or roll the shard topology and rebuild the ring.
 
         Legal between batches only (the synchronous router never holds
         in-flight requests across calls).  With a *count*: growing
         spawns fresh, cold *local* shards; shrinking stops the
-        highest-numbered slots (terminating local workers, merely
+        highest-numbered slots (reaping local children, merely
         disconnecting remote daemons).  With a *spec list*: the list is
         diffed against the current topology slot by slot — unchanged
         slots keep their live transports and warm caches, changed slots
@@ -1092,7 +956,7 @@ class ShardedConnectorService:
             if record.kind != "sweep":
                 # A snapshot of a dead replica is meaningless; a mutate
                 # needs no failover either — the slot picks the delta up
-                # on revival (refreshed pipe payload / catch-up handshake).
+                # on revival (refreshed payload / catch-up handshake).
                 continue
             self._failovers += 1
             self._dispatch(record, state)
@@ -1123,9 +987,8 @@ class ShardedConnectorService:
         """Submit one sweep to its first live replica, failing over on death."""
         while True:
             shard_id = self._preferred_live(record)
-            transport = self._shards[shard_id]
             try:
-                transport.submit(
+                self._shards[shard_id].submit(
                     record.request_id,
                     record.query_tuple,
                     record.options,
@@ -1134,12 +997,16 @@ class ShardedConnectorService:
             except _TRANSPORT_FAILURES:
                 self._shard_down(shard_id, state, mid_batch=False)
                 continue  # walk to the key's next replica
-            record.shard = shard_id
-            record.transport_kind = transport.kind
-            state.inflight[record.request_id] = record
-            state.pending[shard_id] = state.pending.get(shard_id, 0) + 1
-            state.activity[shard_id] = time.monotonic()
+            self._track(record, shard_id, state)
             return
+
+    @staticmethod
+    def _track(record: _InflightRequest, shard_id: int, state: _BatchState) -> None:
+        """Book a request submitted to ``shard_id`` as in flight there."""
+        record.shard = shard_id
+        state.inflight[record.request_id] = record
+        state.pending[shard_id] = state.pending.get(shard_id, 0) + 1
+        state.activity[shard_id] = time.monotonic()
 
     def _revive(self, shard_id: int) -> bool:
         """One revival attempt of a down slot; True when it rejoined."""
@@ -1217,7 +1084,7 @@ class ShardedConnectorService:
         self._heal()
 
         # Dedupe identical in-flight keys and scatter one request each.
-        # Draining is interleaved with scattering: a pipe or socket buffers
+        # Draining is interleaved with scattering: a socket buffers
         # only a bounded number of bytes per direction, so a router that
         # sent a whole large batch before reading any reply would deadlock
         # against a shard blocked on sending its replies.  The per-shard
@@ -1257,7 +1124,6 @@ class ShardedConnectorService:
                     "sharded": True,
                     "shard": record.shard,
                     "shards": self.n_shards,
-                    "transport": record.transport_kind,
                 },
             )
         return [results[query_set] for query_set in query_sets]
@@ -1377,14 +1243,14 @@ class ShardedConnectorService:
         flip.  Phase one applies the delta to the router's local service
         (which validates it — an inapplicable delta raises
         :class:`~repro.errors.DeltaError` before any replica is touched)
-        and rebuilds the worker payload so revived pipe slots respawn at
+        and rebuilds the worker payload so revived local slots respawn at
         the new version.  Phase two scatters the delta to every *live*
         replica and gathers their new epochs; a replica that answers with
         a different epoch, or fails to apply a delta the router already
         applied, has diverged — a :class:`ShardLinkError`, because a
         version-skewed link is a broken link.
 
-        Down slots are not forgotten: a pipe slot respawns cold from the
+        Down slots are not forgotten: a local slot respawns cold from the
         refreshed payload, and a remote slot's reconnect handshake
         negotiates catch-up — the daemon reports the epoch it is stuck
         at, the transport replays ``deltas_since`` that epoch, and only a
@@ -1399,15 +1265,35 @@ class ShardedConnectorService:
         self._payload = self._local.worker_payload(
             cache_limits=self._cache_limits
         )
-        for shard_id in sorted(self._specs):
-            transport = (
-                self._shards.get(shard_id)
-                or self._down[shard_id].transport
-            )
-            if transport.kind == "pipe":
-                transport.update_payload(self._payload)
+        replies, failures = self._broadcast(
+            "mutate", lambda link, request_id: link.submit_mutate(request_id, delta)
+        )
+        if failures:
+            first = next(iter(failures.values()))
+            raise ShardLinkError(
+                f"a replica failed to apply the delta for epoch {epoch} "
+                f"(it has diverged from the router): {first}"
+            ) from first
+        # A slot that died mid-mutate has no reply: it went down, and
+        # revival brings it back at the current epoch.
+        for shard_id, replied in replies.items():
+            if replied != epoch:
+                raise ShardLinkError(
+                    f"shard {shard_id} applied the delta but reports epoch "
+                    f"{replied}; the router is at epoch {epoch}"
+                )
+        return epoch
+
+    def _broadcast(self, kind: str, submit) -> tuple[dict, dict]:
+        """Send one ``kind`` request to every live slot and gather replies.
+
+        ``submit(transport, request_id)`` sends it.  A slot whose link
+        fails goes down without failover — a mutate or a snapshot belongs
+        to that one replica — and has no entry in either result.  Returns
+        ``(replies, failures)``, both keyed by shard id in slot order.
+        """
         state = _BatchState()
-        ordered: list[tuple[int, int]] = []  # (shard id, request id)
+        sent: dict[int, int] = {}  # shard id -> request id
         for shard_id in sorted(self._shards):
             record = _InflightRequest(
                 request_id=self._take_request_id(),
@@ -1415,39 +1301,27 @@ class ShardedConnectorService:
                 query_tuple=None,
                 options=None,
                 replicas=(shard_id,),
-                kind="mutate",
+                kind=kind,
             )
-            transport = self._shards[shard_id]
             try:
-                transport.submit_mutate(record.request_id, delta)
+                submit(self._shards[shard_id], record.request_id)
             except _TRANSPORT_FAILURES:
                 self._shard_down(shard_id, state, mid_batch=False)
                 continue
-            record.shard = shard_id
-            record.transport_kind = transport.kind
-            state.inflight[record.request_id] = record
-            state.pending[shard_id] = state.pending.get(shard_id, 0) + 1
-            state.activity[shard_id] = time.monotonic()
-            ordered.append((shard_id, record.request_id))
+            self._track(record, shard_id, state)
+            sent[shard_id] = record.request_id
         self._gather(state)
-        if state.failures:
-            first = state.failures[min(state.failures)]
-            raise ShardLinkError(
-                f"a replica failed to apply the delta for epoch {epoch} "
-                f"(it has diverged from the router): {first}"
-            ) from first
-        for shard_id, request_id in ordered:
-            replied = state.outcomes.get(request_id)
-            if replied is None:
-                # The slot died mid-mutate (moved to the down set by
-                # _gather); revival brings it back at the current epoch.
-                continue
-            if replied != epoch:
-                raise ShardLinkError(
-                    f"shard {shard_id} applied the delta but reports epoch "
-                    f"{replied}; the router is at epoch {epoch}"
-                )
-        return epoch
+        replies = {
+            shard_id: state.outcomes[request_id]
+            for shard_id, request_id in sent.items()
+            if request_id in state.outcomes
+        }
+        failures = {
+            shard_id: state.failures[request_id]
+            for shard_id, request_id in sent.items()
+            if request_id in state.failures
+        }
+        return replies, failures
 
     # ------------------------------------------------------------------
     # Observability / lifecycle
@@ -1464,43 +1338,16 @@ class ShardedConnectorService:
         if self._closed:
             raise ServiceClosedError("service is closed")
         self._heal()
-        state = _BatchState()
-        ordered: list[tuple[int, int]] = []  # (shard id, request id)
-        for shard_id in sorted(self._shards):
-            record = _InflightRequest(
-                request_id=self._take_request_id(),
-                key=None,
-                query_tuple=None,
-                options=None,
-                replicas=(shard_id,),
-                kind="stats",
-            )
-            transport = self._shards[shard_id]
-            try:
-                transport.submit_stats(record.request_id)
-            except _TRANSPORT_FAILURES:
-                self._shard_down(shard_id, state, mid_batch=False)
-                continue
-            record.shard = shard_id
-            record.transport_kind = transport.kind
-            state.inflight[record.request_id] = record
-            state.pending[shard_id] = state.pending.get(shard_id, 0) + 1
-            state.activity[shard_id] = time.monotonic()
-            ordered.append((shard_id, record.request_id))
-        self._gather(state)
-        assert not state.failures  # stats requests cannot fail
-        snapshots = tuple(
-            state.outcomes[request_id]
-            for _, request_id in ordered
-            if request_id in state.outcomes
+        snapshots, failures = self._broadcast(
+            "stats", lambda link, request_id: link.submit_stats(request_id)
         )
+        assert not failures  # stats requests cannot fail
         return ShardedStats(
             n_shards=self.n_shards,
             requests_routed=self._requests_routed,
             inflight_deduped=self._inflight_deduped,
-            shards=snapshots,
+            shards=tuple(snapshots.values()),
             router_local=self._local.stats(),
-            transports=self.transports,
             replication=self._replication,
             failovers=self._failovers,
             shards_failed=self._shards_failed,
@@ -1512,9 +1359,9 @@ class ShardedConnectorService:
     def close(self) -> None:
         """Stop every shard transport, live or down; idempotent.
 
-        Local workers are terminated; remote daemons are only
-        disconnected (they are owned by whoever started them and may be
-        serving other routers).
+        Local children see their link shut down, return, and are reaped;
+        remote daemons are only disconnected (they are owned by whoever
+        started them and may be serving other routers).
         """
         if self._closed:
             return

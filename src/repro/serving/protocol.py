@@ -29,7 +29,8 @@ for untrusted clients:
 
 **The shard transport** (:mod:`repro.serving.remote`), the
 cluster-internal scatter/gather link between a sharded router and its
-shard-host daemons.  Same framing, extra ops and version stamping:
+shard hosts — remote daemons and the local shard processes the router
+forks alike.  Same framing, extra ops and version stamping:
 
 * ``{"op": "hello", "digest": hex, "epoch": n, "id": ...?}`` — the
   connect-time handshake: the router sends the digest of its graph index
@@ -38,23 +39,23 @@ shard-host daemons.  Same framing, extra ops and version stamping:
   mismatches — routing a key ring over a *different* graph would
   silently break the bit-identity contract.  A digest refusal reports
   the daemon's ``"epoch"`` so the router can bridge the gap with
-  catch-up.
+  catch-up.  A local shard's link starts handshaken and never sends it.
 * ``{"op": "sweep", "request": b64, "epoch": n, "id": ...}`` — one
   λ×root sweep.  ``request`` is
   :func:`~repro.serving.pickled.encode_pickled` of
   ``(query_tuple, options)`` and the success response carries
   ``"outcome"``, the same encoding of the shard's
-  :class:`~repro.core.service.SweepOutcome` — exactly the object a
-  pipe-backed shard would ship, so the router rebuilds identical
-  :class:`~repro.core.result.ConnectorResult` objects either way — plus
-  the serving ``"epoch"``.  A version-skewed sweep is refused with
-  ``error_type: "EpochMismatch"`` (the router treats the link as stale
-  and fails over), never answered from the wrong graph.  Failure
+  :class:`~repro.core.service.SweepOutcome` — so the router rebuilds
+  :class:`~repro.core.result.ConnectorResult` objects identical to an
+  in-process solve — plus the serving ``"epoch"``.  A version-skewed
+  sweep is refused with ``error_type: "EpochMismatch"`` (the router
+  treats the link as stale and fails over), never answered from the
+  wrong graph.  Failure
   responses may carry the pickled original exception under
   ``"exception"`` so shard-side faults re-raise with their real type.
 * ``{"op": "mutate", "delta": {...}, "id": ...}`` — same payload as the
   gateway's mutate: apply one :class:`~repro.core.versioned.GraphDelta`
-  to the replica, acknowledge with the new ``"epoch"`` and ``"digest"``.
+  to the replica, acknowledge with the new ``"epoch"``.
 * ``{"op": "catchup", "delta": {...}, "id": ...?}`` — the reconnect
   healing path: only accepted immediately after this connection's
   ``hello`` was refused for a digest mismatch, it replays one delta the

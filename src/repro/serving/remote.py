@@ -1,26 +1,32 @@
-"""Remote shard transport: replicated scatter/gather over sockets.
+"""The shard wire: replicated scatter/gather over sockets.
 
 The paper's §6.6 concedes single-machine memory limits and points at
 parallel computation at scale; the systems answer in this reproduction is
-to let one :class:`~repro.core.sharded.ShardedConnectorService` router
-(and therefore one :class:`~repro.core.gateway.AsyncGateway` /
-``repro serve`` daemon) front shard replicas on *other machines*.  Two
-pieces:
+a :class:`~repro.core.sharded.ShardedConnectorService` router (and
+therefore one :class:`~repro.core.gateway.AsyncGateway` / ``repro serve``
+daemon) fronting shard replicas that may live on *other machines*.  Every
+replica, local or remote, speaks one wire — the JSON-lines format of
+:mod:`repro.serving.protocol` extended with the ``sweep`` op (pickled
+:class:`~repro.core.service.SweepOutcome` payloads).  Three pieces:
 
-* :class:`ShardHostServer` — the daemon behind ``repro shard-host
-  DATASET --port P``: a TCP server wrapping one
-  :class:`~repro.core.service.ConnectorService` replica exactly like the
-  pipe-backed in-process shard workers, speaking the JSON-lines wire
-  format of :mod:`repro.serving.protocol` extended with the ``sweep`` op
-  (pickled :class:`~repro.core.service.SweepOutcome` payloads).  Sweeps
-  from all connections are serialized through one lock, mirroring the
-  single message loop of a pipe shard — the replica's LRU layers are the
-  scaling unit, not intra-host parallelism (run more hosts for that).
+* :class:`ShardHostServer` — one
+  :class:`~repro.core.service.ConnectorService` replica behind that wire.
+  It is the daemon behind ``repro shard-host DATASET --port P`` (a TCP
+  listener, one thread per connection) and the body of every local
+  shard's child process (one socketpair, no listener).  Both serve each
+  connection with the same :meth:`~ShardHostServer.serve_connection`
+  loop.  Sweeps from all connections are serialized through one lock —
+  the replica's LRU layers are the scaling unit, not intra-host
+  parallelism (run more hosts for that).
 * :class:`RemoteShardTransport` — the router-side
-  :class:`~repro.core.sharded.ShardTransport` implementation: a blocking
+  :class:`~repro.core.sharded.ShardTransport` of a daemon: a blocking
   socket whose ``drain()`` never blocks (it reads only what has already
   arrived) and whose socket object plugs straight into the router's
   multiplexed :func:`multiprocessing.connection.wait` gather loop.
+* :class:`LocalShardTransport` — the same codec over one end of a
+  socketpair to a child process the router forks and owns.  Only the
+  lifecycle differs: spawn and respawn instead of dial, re-dial and
+  catch-up.
 
 Handshake
 ---------
@@ -37,7 +43,9 @@ serve the same graph, and a version skew between two dataset copies must
 fail loudly at topology-build time, not corrupt answers at serve time.
 The same handshake runs again on every :meth:`~RemoteShardTransport.
 reconnect`, so a daemon that was restarted with a *different* dataset
-while the link was down is refused, never silently rejoined.
+while the link was down is refused, never silently rejoined.  A local
+shard's link skips ``hello``: the router built that replica from its own
+payload at its own epoch, so there is nothing to compare.
 
 Since the versioned-graph layer the handshake also carries the graph
 *epoch* (see :mod:`repro.core.versioned`): ``hello`` stamps the router's
@@ -58,8 +66,8 @@ Failure semantics: what fails, what degrades, what heals
 Three distinct layers, three distinct behaviors:
 
 * **Request faults fail the request.**  A poisoned query travels back as
-  a pickled exception value and fails only that request — identical to a
-  pipe shard.  Always, at every replication factor.
+  a pickled exception value and fails only that request.  Always, at
+  every replication factor.
 * **Link faults fail the *link*, typed by when they struck.**  Every
   transport failure raises a
   :class:`~repro.core.sharded.ShardTransportError` subclass the router
@@ -104,7 +112,9 @@ probe for supervisors.
 
 Trust model: the ``sweep`` op carries pickles, so shard hosts must only
 be reachable from trusted routers (a private cluster network), never
-from end-user clients — those talk to the pure-JSON gateway instead.
+from end-user clients — those talk to the pure-JSON gateway instead.  A
+local shard opens no port at all: its socketpair is ``AF_UNIX`` and only
+the router holds the other end.
 """
 
 from __future__ import annotations
@@ -115,6 +125,7 @@ import socketserver
 import threading
 import time
 
+from repro.core import sharded
 from repro.core.options import SolveOptions
 from repro.core.service import ConnectorService, ServiceStats
 from repro.core.sharded import ShardConnectError, ShardLinkError
@@ -124,6 +135,7 @@ from repro.serving.pickled import decode_pickled, encode_pickled
 from repro.serving.protocol import decode_line, encode_line
 
 __all__ = [
+    "LocalShardTransport",
     "RemoteShardTransport",
     "ShardHostServer",
     "ping_shard_host",
@@ -142,11 +154,11 @@ _RECV_CHUNK = 1 << 16
 
 
 class _ShardHostHandler(socketserver.StreamRequestHandler):
-    """One connection: read request lines, answer each in receipt order.
+    """One TCP connection, served by :meth:`ShardHostServer.serve_connection`.
 
-    ``state`` carries the connection's handshake flag: ``sweep`` is only
-    served after this connection's ``hello`` succeeded, so the digest
-    check is enforced server-side per link, not merely trusted client-side.
+    A TCP connection starts un-handshaken: ``sweep`` is only served after
+    this connection's ``hello`` succeeded, so the digest check is
+    enforced server-side per link, not merely trusted client-side.
     """
 
     def setup(self) -> None:
@@ -165,28 +177,7 @@ class _ShardHostHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         host: ShardHostServer = self.server.shard_host  # type: ignore[attr-defined]
-        state = {"handshaken": False}
-        for line in self.rfile:
-            if not line.strip():
-                continue
-            response, is_shutdown = host._serve_line(line, state)
-            try:
-                self.wfile.write(encode_line(response))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionError, OSError):
-                # Peer went away; nothing left to tell it — but an
-                # accepted shutdown must still happen (same rule as the
-                # gateway server: a supervisor that fired-and-forgot, or
-                # died right after asking, must not leave the daemon
-                # running forever).
-                if is_shutdown:
-                    host._shutdown.set()
-                return
-            # As with the gateway's shutdown op: the acknowledgement is on
-            # the wire first, then the daemon stops.
-            if is_shutdown:
-                host._shutdown.set()
-                return
+        host.serve_connection(self.rfile, self.wfile, handshaken=False)
 
 
 class _ShardHostTCPServer(socketserver.ThreadingTCPServer):
@@ -195,17 +186,18 @@ class _ShardHostTCPServer(socketserver.ThreadingTCPServer):
 
 
 class ShardHostServer:
-    """Serve one :class:`ConnectorService` replica's sweeps over TCP.
+    """Serve one :class:`ConnectorService` replica's sweeps over the shard wire.
 
-    The remote counterpart of the in-process ``_shard_main`` worker loop:
-    ops ``hello`` (digest handshake), ``sweep`` (one λ×root sweep,
-    pickled outcome), ``stats`` (a :class:`ServiceStats` snapshot as JSON
-    plus a ``host`` sub-object with daemon-level health: uptime, sweeps
-    served, connections active), ``ping`` and ``shutdown``.  Each
-    connection is served by its own thread in receipt order, but sweeps
-    and snapshots across all connections serialize through one lock — the
-    service's caches are not thread-safe, and a shard replica's unit of
-    scale is the host, not the thread.
+    Ops: ``hello`` (digest handshake), ``sweep`` (one λ×root sweep,
+    pickled outcome), ``mutate``/``catchup`` (one graph delta), ``stats``
+    (a :class:`ServiceStats` snapshot as JSON plus a ``host`` sub-object
+    with daemon-level health: uptime, sweeps served, connections active),
+    ``ping`` and ``shutdown``.  :meth:`start` serves them over TCP, one
+    thread per connection; a local shard's child process instead calls
+    :meth:`serve_connection` on its one socketpair.  Sweeps and snapshots
+    across all connections serialize through one lock — the service's
+    caches are not thread-safe, and a shard replica's unit of scale is
+    the host, not the thread.
 
     The server owns only its sockets; the service belongs to the caller.
     """
@@ -219,7 +211,6 @@ class ShardHostServer:
         self._service = service
         self._host = host
         self._port = port
-        self._digest = service.index_digest()
         self._lock = threading.Lock()
         self._shutdown = threading.Event()
         self._server: _ShardHostTCPServer | None = None
@@ -317,8 +308,40 @@ class ShardHostServer:
         }
 
     # ------------------------------------------------------------------
-    # Request handling (called from handler threads)
+    # Request handling (TCP handler threads, or a local shard's process)
     # ------------------------------------------------------------------
+    def serve_connection(self, rfile, wfile, *, handshaken: bool) -> None:
+        """Answer one connection's request lines, each in receipt order.
+
+        The one per-connection loop of both server kinds.  ``handshaken``
+        is the link's starting state: ``False`` for a TCP connection
+        (``sweep`` and ``mutate`` wait for a successful ``hello``),
+        ``True`` for a local shard's socketpair.  Returns at EOF, when
+        the peer goes away, or once ``shutdown`` is answered.
+        """
+        state = {"handshaken": handshaken}
+        for line in rfile:
+            if not line.strip():
+                continue
+            response, is_shutdown = self._serve_line(line, state)
+            try:
+                wfile.write(encode_line(response))
+                wfile.flush()
+            except OSError:
+                # Peer went away; nothing left to tell it — but an
+                # accepted shutdown must still happen (same rule as the
+                # gateway server: a supervisor that fired-and-forgot, or
+                # died right after asking, must not leave the daemon
+                # running forever).
+                if is_shutdown:
+                    self._shutdown.set()
+                return
+            # As with the gateway's shutdown op: the acknowledgement is on
+            # the wire first, then the server stops.
+            if is_shutdown:
+                self._shutdown.set()
+                return
+
     def _serve_line(self, line: bytes, state: dict) -> tuple[dict, bool]:
         """Answer one request line; failures fail the request, not the link.
 
@@ -398,7 +421,11 @@ class ShardHostServer:
 
     def _hello(self, message: dict) -> dict:
         theirs = message.get("digest")
-        if theirs != self._digest:
+        with self._lock:
+            # Computed on demand (the service caches it per epoch), so a
+            # replica that never sees a hello never pays the O(|E|) pass.
+            ours = self._service.index_digest()
+        if theirs != ours:
             # The refusal reports this daemon's version coordinates so a
             # router that mutated past us can decide whether catch-up
             # (replaying the missed deltas) can bridge the gap.
@@ -406,11 +433,11 @@ class ShardHostServer:
                 "ok": False,
                 "error": (
                     f"graph digest mismatch: router has {theirs!r}, this "
-                    f"shard host serves {self._digest!r} — both sides must "
+                    f"shard host serves {ours!r} — both sides must "
                     "load the same graph"
                 ),
                 "error_type": "GraphDigestMismatch",
-                "digest": self._digest,
+                "digest": ours,
                 "epoch": self._service.epoch,
             }
         epoch = message.get("epoch")
@@ -424,7 +451,7 @@ class ShardHostServer:
                 self._service.align_epoch(epoch)
         return {
             "ok": True,
-            "digest": self._digest,
+            "digest": ours,
             "epoch": self._service.epoch,
             "nodes": self._service.num_nodes,
         }
@@ -455,8 +482,8 @@ class ShardHostServer:
                 outcome = self._service.sweep(query_tuple, options)
                 self.sweeps_served += 1
         except Exception as exc:
-            # The shard-side fault travels as a value, like a pipe shard's:
-            # the router re-raises the original exception type when it can.
+            # The shard-side fault travels as a value: the router
+            # re-raises the original exception type when it can.
             response = {
                 "ok": False,
                 "error": str(exc),
@@ -474,10 +501,7 @@ class ShardHostServer:
         delta = GraphDelta.from_payload(message.get("delta"))
         with self._lock:
             epoch = self._service.apply_delta(delta)
-            # The handshake digest tracks the graph version: the next
-            # hello must compare against the mutated graph, not epoch 0's.
-            self._digest = self._service.index_digest()
-        return {"ok": True, "epoch": epoch, "digest": self._digest}
+        return {"ok": True, "epoch": epoch}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         state = "stopped" if self._server is None else f"port={self.port}"
@@ -549,8 +573,6 @@ class RemoteShardTransport:
     With ``heartbeat_interval`` set, a background monitor pings the
     daemon while the link is idle and marks it suspect on a miss.
     """
-
-    kind = "socket"
 
     def __init__(
         self,
@@ -811,8 +833,7 @@ class RemoteShardTransport:
             if message.get("ok"):
                 if "outcome" in message:
                     # Sweep replies are epoch-stamped so the router can
-                    # verify the serving version on receipt (same shape a
-                    # pipe shard sends).
+                    # verify the serving version on receipt.
                     return request_id, "ok", (
                         message.get("epoch", 0),
                         decode_pickled(message["outcome"]),
@@ -938,6 +959,81 @@ class RemoteShardTransport:
             f"{type(self).__name__}(shard={self.shard_id}, "
             f"address={self.address})"
         )
+
+
+class LocalShardTransport(RemoteShardTransport):
+    """A shard host in a child process the router forks and owns.
+
+    The codec is :class:`RemoteShardTransport`'s (``submit*``, ``drain``,
+    ``_parse``) over the router's end of a socketpair; the child answers
+    with :meth:`ShardHostServer.serve_connection` (see
+    :func:`repro.core.sharded._shard_main`).  Only the lifecycle is this
+    class's own, so the base constructor (dial, ``hello``, heartbeat)
+    never runs: each child is forked from the router's *current* payload
+    (``payload`` is a provider, like a remote link's ``epoch``), so its
+    link starts handshaken at the ring's epoch; liveness is the OS's word
+    on the process; :meth:`reconnect` forks a fresh, cold child.  The
+    socketpair is ``AF_UNIX``, so no listener is ever opened.
+    """
+
+    def __init__(self, shard_id: int, *, payload, mp_context) -> None:
+        self.shard_id = shard_id
+        self.address = f"local shard {shard_id}"
+        self._payload_of = payload
+        self._ctx = mp_context
+        self._spawn()
+
+    def _spawn(self) -> None:
+        self._buffer = bytearray()
+        self._sock, child_end = socket.socketpair()
+        self.process = self._ctx.Process(
+            # Looked up at spawn time, so a wrapper installed on the
+            # module attribute (perfbench's ShardCollector) is what runs.
+            target=sharded._shard_main,
+            args=(child_end, self._payload_of()),
+            name=f"connector-shard-{self.shard_id}",
+            daemon=True,
+        )
+        try:
+            self.process.start()
+        finally:
+            child_end.close()  # the child owns its end now
+        self._last_activity = time.monotonic()
+
+    def probe(self, timeout: float | None = None) -> bool:
+        """A live child is a live shard: one stuck in a long sweep is
+        alive, a crashed or OOM-killed one is not."""
+        return self.process.is_alive()
+
+    def is_suspect(self) -> bool:
+        return not self.process.is_alive()
+
+    def clear_suspect(self) -> None:
+        """No sticky flag to clear — suspicion *is* process death."""
+
+    def reconnect(self) -> None:
+        self.stop()
+        self._spawn()
+
+    def stop(self) -> None:
+        """Shut the link down and reap the child; idempotent.
+
+        ``shutdown``, not a bare close: every shard forked after this one
+        holds a copy of the router's end, so closing this fd alone would
+        never show the child an EOF.  On EOF the child returns and exits
+        0; one wedged past the bound is terminated.
+        """
+        if self._sock is not None:
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the child is already gone
+            self._sock.close()
+            self._sock = None
+        self.process.join(STOP_TIMEOUT_SECONDS)
+        if self.process.is_alive():  # pragma: no cover - defensive reaping
+            self.process.terminate()
+            self.process.join()
 
 
 def ping_shard_host(

@@ -299,7 +299,7 @@ class GatewayServer:
             payload = {"gateway": dataclasses.asdict(self._gateway.stats())}
             # aservice_stats serializes with the solve windows on the
             # gateway's executor — calling the backing service directly
-            # here would race a sharded service's pipes mid-window.
+            # here would race a sharded service's shard links mid-window.
             service_stats = await self._gateway.aservice_stats()
             if service_stats is not None:
                 payload["service"] = dataclasses.asdict(service_stats)

@@ -17,9 +17,12 @@ import re
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
-from repro.graphs.graph import Graph, WeightedGraph
+from repro.core.service import ConnectorService
 from repro.graphs.generators import connectify, erdos_renyi
+from repro.graphs.graph import Graph, WeightedGraph
+from repro.serving.remote import ShardHostServer
 
 
 def assert_no_orphan_processes(timeout: float = 5.0) -> None:
@@ -99,6 +102,23 @@ def spawn_shard_host(
         raise
     finally:
         watchdog.cancel()
+
+
+@contextmanager
+def shard_hosts(graph, count: int):
+    """``count`` in-process shard-host daemons over replicas of ``graph``.
+
+    Yields their ``"127.0.0.1:PORT"`` specs and closes every daemon on
+    exit.
+    """
+    hosts = [
+        ShardHostServer(ConnectorService(graph)).start() for _ in range(count)
+    ]
+    try:
+        yield [f"127.0.0.1:{host.port}" for host in hosts]
+    finally:
+        for host in hosts:
+            host.close()
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:

@@ -551,9 +551,8 @@ class TestReplicaPlacement:
             query = sorted(graph.nodes())[:3]
             before = service.shard_of(query)
             victim = service._shards[before]
-            if victim.kind == "pipe":
-                victim.process.terminate()
-                victim.process.join(5.0)
+            victim.process.terminate()
+            victim.process.join(5.0)
             service.solve(query)  # fails over; placement must not move
             assert service.shard_of(query) == before
 
@@ -708,7 +707,7 @@ class TestChaosRemote:
                 time.sleep(0.05)
             assert stats.dead_shards == ()
             assert stats.reconnects >= 1
-            assert "socket" in stats.transports
+            assert type(service._shards[0]) is RemoteShardTransport
             for query in queries[:2]:
                 assert_connector_identical(
                     service.solve(query), reference.solve(query)
@@ -875,7 +874,7 @@ class TestHeartbeats:
             server.close()
 
     def test_router_confirms_suspects_before_scatter(self):
-        # A worker that died *between* batches is flagged (pipe suspicion
+        # A child that died *between* batches is flagged (local suspicion
         # is process death) and taken out at the next batch boundary —
         # no in-flight sweeps ever touch it.
         graph = small_graph(53)
@@ -958,7 +957,7 @@ class TestRollingReplace:
                 assert service._ring is ring_before  # same slot count
                 assert service._shards[1] is keeper_one
                 assert service._shards[2] is keeper_two
-                assert service.transports == ("socket", "pipe", "pipe")
+                assert type(service._shards[0]) is RemoteShardTransport
                 service.resize(["local", "local", "local"])
                 assert service._shards[1] is keeper_one
         assert_no_orphan_processes()

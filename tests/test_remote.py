@@ -1,9 +1,9 @@
 """Property/fuzz tests for the remote shard transport.
 
 The contract under test is the same identity contract
-``tests/test_sharded.py`` pins for pipe-backed shards, now over sockets:
+``tests/test_sharded.py`` pins for local shards, now over TCP:
 a :class:`ShardedConnectorService` routing across ``repro shard-host``
-daemons — all-remote or mixed with local pipe shards — returns
+daemons — all-remote or mixed with local shards — returns
 *bit-identical* connectors to the one-shot ``wiener_steiner`` and to a
 single in-process :class:`ConnectorService`, cold and warm.  Alongside
 it: the connect-time graph-digest handshake, the wire protocol's
@@ -11,6 +11,7 @@ error paths, failure semantics when a shard host is killed mid-stream,
 and the ``repro shard-host`` CLI as a real subprocess.
 """
 
+import io
 import os
 import random
 import re
@@ -18,7 +19,6 @@ import socket
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 
 import pytest
 
@@ -27,6 +27,7 @@ from helpers import (
     assert_no_orphan_processes,
     random_connected_graph,
     random_query_batch,
+    shard_hosts,
     spawn_shard_host,
 )
 from repro.core.options import SolveOptions
@@ -42,21 +43,11 @@ from repro.graphs.graph import Graph
 from repro.serving.pickled import encode_pickled
 from repro.serving.protocol import decode_line, encode_line
 from repro.serving.remote import (
+    LocalShardTransport,
     RemoteShardTransport,
     ShardHostServer,
     shutdown_shard_host,
 )
-
-
-@contextmanager
-def shard_hosts(graph, count: int):
-    """``count`` in-process shard-host daemons over replicas of ``graph``."""
-    hosts = [ShardHostServer(ConnectorService(graph)).start() for _ in range(count)]
-    try:
-        yield [f"127.0.0.1:{host.port}" for host in hosts]
-    finally:
-        for host in hosts:
-            host.close()
 
 
 def raw_request(port: int, *lines: bytes, reply_count: int | None = None):
@@ -123,11 +114,8 @@ class TestRemoteIdentity:
                             )
                             assert result.metadata["sharded"] is True
                             assert result.metadata["shards"] == 2
-                            expected_kinds = (
-                                {"socket"} if topology == "remote"
-                                else {"pipe", "socket"}
-                            )
-                            assert result.metadata["transport"] in expected_kinds
+                            # One wire: nothing tags which kind answered.
+                            assert "transport" not in result.metadata
         assert_no_orphan_processes()
 
     def test_order_preserved_and_inflight_deduped_over_sockets(self):
@@ -146,10 +134,9 @@ class TestRemoteIdentity:
                 stats = sharded.stats()
                 assert stats.requests_routed == 3
                 assert stats.inflight_deduped == 2
-                assert stats.transports == ("socket", "socket")
 
     def test_large_batch_interleaves_drain_with_scatter(self):
-        """The socket path obeys the same in-flight cap as pipes: far more
+        """The TCP path obeys the same in-flight cap as local shards: far more
         distinct keys than MAX_INFLIGHT_PER_SHARD, cold then warm, without
         deadlocking on either side's buffers."""
         n = 120
@@ -166,7 +153,7 @@ class TestRemoteIdentity:
 
     def test_ring_placement_matches_local_ring(self):
         """Ring placement depends only on the slot count, never the
-        transport, so a remote ring serves exactly the keys a pipe ring
+        transport, so a remote ring serves exactly the keys a local ring
         would — cache affinity survives a migration to sockets."""
         g = random_connected_graph(30, 0.12, 23)
         rng = random.Random(23)
@@ -196,12 +183,18 @@ class TestRemoteIdentity:
             with ShardedConnectorService(g, shards=addresses) as sharded:
                 before = sharded.solve_many(batch)
                 sharded.resize(3)
-                assert sharded.transports == ("socket", "pipe", "pipe")
+                assert [type(t) for t in sharded._shards.values()] == [
+                    RemoteShardTransport,
+                    LocalShardTransport,
+                    LocalShardTransport,
+                ]
                 after = sharded.solve_many(batch)
                 for result, reference in zip(after, before):
                     assert_connector_identical(result, reference)
                 sharded.resize(1)
-                assert sharded.transports == ("socket",)
+                assert [type(t) for t in sharded._shards.values()] == [
+                    RemoteShardTransport
+                ]
                 final = sharded.solve_many(batch)
                 for result, reference in zip(final, before):
                     assert_connector_identical(result, reference)
@@ -367,6 +360,37 @@ class TestShardHostProtocol:
             )
             assert hello["ok"] is True
             assert served["ok"] is True and served["id"] == 5
+
+    def test_local_link_starts_handshaken_and_never_digests(self):
+        """A local shard's link serves sweeps and mutates without a hello,
+        and nothing on it computes the O(|E|) graph digest: only a hello
+        asks for it."""
+        g = random_connected_graph(20, 0.2, 63)
+        service = ConnectorService(g)
+        digests = []
+        original = service.index_digest
+        service.index_digest = lambda: digests.append(1) or original()
+        u, v = next(
+            (a, b) for a in sorted(g.nodes()) for b in sorted(g.nodes())
+            if a < b and not g.has_edge(a, b)
+        )
+        rfile = io.BytesIO(
+            encode_line({
+                "op": "sweep", "id": 1, "epoch": 0,
+                "request": encode_pickled(
+                    (tuple(sorted(g.nodes())[:3]), SolveOptions())
+                ),
+            })
+            + encode_line({"op": "mutate", "id": 2, "delta": {"insert": [[u, v]]}})
+            + encode_line({"op": "hello", "digest": "bogus", "id": 3})
+        )
+        wfile = io.BytesIO()
+        ShardHostServer(service).serve_connection(rfile, wfile, handshaken=True)
+        swept, mutated, hello = map(decode_line, wfile.getvalue().splitlines())
+        assert swept["ok"] is True and swept["epoch"] == 0
+        assert mutated == {"ok": True, "epoch": 1, "id": 2}
+        assert hello["ok"] is False
+        assert digests == [1]  # the hello, and nothing before it
 
     def test_bad_sweep_payload_fails_request_only(self):
         g = random_connected_graph(20, 0.2, 67)
@@ -572,7 +596,6 @@ class TestServeComposition:
             reference = wiener_steiner(graph, [0, 1, 2])
             assert set(document["nodes"]) == set(reference.nodes)
             assert document["metadata"]["root"] == reference.metadata["root"]
-            assert document["metadata"]["transport"] == "socket"
 
             assert shutdown_shard_host("127.0.0.1", host_port) is True
             host_out, host_err = host_proc.communicate(timeout=30)

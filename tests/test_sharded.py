@@ -14,6 +14,7 @@ consistent-hash ring's stability/movement properties and the
 import dataclasses
 import pickle
 import random
+import socket
 
 import pytest
 
@@ -237,7 +238,7 @@ class TestRouter:
         """Regression: the router must never have more than
         ``MAX_INFLIGHT_PER_SHARD`` requests outstanding per shard — a
         scatter-everything-then-gather router deadlocks once a batch's
-        requests and replies outgrow the OS pipe buffers (reproduced at
+        requests and replies outgrow the OS socket buffers (reproduced at
         ~700+ in-flight requests).  This drives the mid-scatter drain path
         hard — far more distinct keys than the cap, cold then warm — and
         checks order and identity still hold."""
@@ -285,14 +286,14 @@ class TestRouter:
         with ShardedConnectorService(g, n_shards=2) as sharded:
             with pytest.raises(DisconnectedGraphError):
                 sharded.solve_many([[0, 3], [0, 11]])
-            # every pipe is drained and every shard still serves
+            # every link is drained and every shard still serves
             [result] = sharded.solve_many([[0, 3]])
             assert_connector_identical(result, wiener_steiner(g, [0, 3]))
 
     def test_dead_shard_closes_the_service_with_a_clear_error(self):
         """A shard process dying (OOM kill, crash) poisons any half-served
         batch, so the router must fail with one clear error and close the
-        whole service — never limp on with stale replies in the pipes."""
+        whole service — never limp on with stale replies in the links."""
         g = random_connected_graph(30, 0.12, 61)
         rng = random.Random(61)
         sharded = ShardedConnectorService(g, n_shards=2)
@@ -350,6 +351,33 @@ class TestLifecycle:
             sharded.resize(2)
         with pytest.raises(RuntimeError):
             sharded.stats()
+
+    def test_stopped_local_children_return_cleanly(self):
+        """Stopping a local slot shuts its socketpair down and the child's
+        serve loop returns: exit code 0, never a terminate — even while
+        shards forked after it still hold copies of its link.  A clean
+        return is what lets a wrapper around the child body run its
+        teardown."""
+        g = random_connected_graph(24, 0.15, 49)
+        sharded = ShardedConnectorService(g, n_shards=3)
+        sharded.solve_many(random_query_batch(g, random.Random(49), 4))
+        first = sharded._shards[0].process
+        sharded.replace_shard(0, "local")  # slots 1 and 2 still run
+        assert first.exitcode == 0
+        processes = [t.process for t in sharded._shards.values()]
+        sharded.close()
+        assert [p.exitcode for p in processes] == [0, 0, 0]
+        assert_no_orphan_processes()
+
+    def test_local_slots_open_no_listener(self):
+        """A local slot is a socketpair: AF_UNIX, so nothing but the router
+        can reach the child's pickled sweep op."""
+        g = random_connected_graph(24, 0.15, 51)
+        with ShardedConnectorService(g, n_shards=2) as sharded:
+            for transport in sharded._shards.values():
+                assert transport.waitable.family == socket.AF_UNIX
+                assert transport.waitable.getsockname() == ""
+        assert_no_orphan_processes()
 
     def test_context_manager_reaps_on_exception(self):
         g = random_connected_graph(24, 0.15, 53)

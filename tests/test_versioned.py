@@ -3,7 +3,7 @@
 The contract under test is the **identity contract of the versioned
 graph**: after any sequence of :class:`~repro.core.versioned.GraphDelta`
 applications, every answer the tower returns — cold or warm, one process
-or a replicated ring, pipe or socket transport, before or after a
+or a replicated ring, local or remote shards, before or after a
 failover — is bit-identical to a cold one-shot ``wiener_steiner`` solve
 on the mutated graph.  Around that tentpole: unit tests for the delta
 value type (canonicalization, digests, the pure-JSON wire form), the
@@ -22,7 +22,6 @@ import socket
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 
 import pytest
 
@@ -31,6 +30,7 @@ from helpers import (
     assert_no_orphan_processes,
     random_connected_graph,
     random_query_batch,
+    shard_hosts,
     spawn_shard_host,
 )
 from oracle import make_service
@@ -58,19 +58,6 @@ FAST_BACKOFF = BackoffPolicy(base_delay=0.05, max_delay=0.3, jitter=0.0)
 
 def run(coroutine):
     return asyncio.run(asyncio.wait_for(coroutine, timeout=120))
-
-
-@contextmanager
-def shard_hosts(graph, count: int):
-    """``count`` in-process shard-host daemons over replicas of ``graph``."""
-    hosts = [
-        ShardHostServer(ConnectorService(graph)).start() for _ in range(count)
-    ]
-    try:
-        yield [f"127.0.0.1:{host.port}" for host in hosts]
-    finally:
-        for host in hosts:
-            host.close()
 
 
 def _connected_after_removal(graph: Graph, u, v) -> bool:
@@ -558,7 +545,7 @@ RING_SHAPES = [(1, 1), (2, 1), (2, 2), (5, 1), (5, 2)]
 
 def _ring_params():
     params = []
-    for transport in ("pipe", "socket", "mixed"):
+    for transport in ("local", "socket", "mixed"):
         for slots, replication in RING_SHAPES:
             if transport == "mixed" and slots < 2:
                 continue  # a one-slot ring cannot mix transports
@@ -576,7 +563,7 @@ class TestShardedEpochIdentity:
         reference = graph.copy()
 
         remote_count = {
-            "pipe": 0, "socket": slots, "mixed": slots // 2
+            "local": 0, "socket": slots, "mixed": slots // 2
         }[transport]
         with shard_hosts(graph, remote_count) as addresses:
             shards = addresses + ["local"] * (slots - remote_count)
