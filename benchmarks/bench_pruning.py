@@ -1,16 +1,19 @@
 """Certified pruning + λ work sharing vs the historical per-pair sweep.
 
-Measures what PR 8's tentpole is *for*: the λ×root sweep of
-:meth:`~repro.core.service.ConnectorService._solve_ws` with (a) one
-batched reweighting pass per root serving the whole λ grid and (b)
-certified landmark-bound pruning of ``(root, λ)`` pairs — against the
-historical baseline that built one candidate per pair and scored all of
-them.  Three paths over one instance (the 10k-node / 50k-edge
-reference) and one mixed workload:
+Measures the λ×root sweep of
+:meth:`~repro.core.service.ConnectorService._solve_ws` with (a) λ work
+sharing — one root batch per root: the per-arc ``max(d_r[u], d_r[v])``
+gather, the unreachable-arc mask and the terminal set are computed once
+for the whole λ grid, and each λ's weight row is then written into the
+engine's one reusable matrix buffer — and (b) certified landmark-bound
+pruning of ``(root, λ)`` pairs, against the historical baseline that
+built one candidate per pair and scored all of them.  Three paths over
+one instance (the 10k-node / 50k-edge reference) and one mixed workload:
 
-* **unshared** — the pre-PR sweep, emulated pair by pair through the
-  engines' single-λ ``candidate()`` entry point (result-memoized, as the
-  historical service was);
+* **unshared** — the historical sweep, emulated pair by pair through the
+  engine's single-λ ``candidate()`` entry point, a one-λ root batch, so
+  every pair pays its own gather (result-memoized, as the historical
+  service was);
 * **shared** — the service with ``prune=False``: work sharing only;
 * **pruned** — the service at defaults: work sharing + certified
   pruning.
@@ -90,7 +93,7 @@ def unshared_sweep(service, options, query, memo):
 
     Same grid, same canonical order, same strict-improvement selection,
     same result memo the old service had — but every pair pays its own
-    reweighting pass through the engines' single-λ ``candidate()`` entry
+    per-root gather through the engine's single-λ ``candidate()`` entry
     point, and nothing is ever pruned.  This is the baseline the tentpole
     replaced, kept runnable here so the comparison stays honest.
     """

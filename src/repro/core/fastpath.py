@@ -7,14 +7,15 @@ whole sweep and replaces each inner loop with array operations:
 
 * line 1 of Algorithm 1 (one BFS per candidate root) uses the vectorized
   frontier BFS of :meth:`CSRGraph.bfs_tree`, cached per root;
-* the Lemma-4 reweighting ``w(u,v) = λ + max(d_r(u), d_r(v))/λ`` becomes a
-  single vectorized expression over a per-root ``max(d_r[u], d_r[v])`` arc
-  array — one numpy line per λ instead of ``O(|E|)`` dict inserts per
+* the Lemma-4 reweighting ``w(u,v) = λ + max(d_r(u), d_r(v))/λ`` becomes
+  two in-place numpy operations per λ over a ``max(d_r[u], d_r[v])`` arc
+  array gathered once per root batch, written straight into one reusable
+  scipy matrix buffer — instead of ``O(|E|)`` dict inserts per
   ``(root, λ)`` pair;
 * Mehlhorn phase 1 (:func:`mehlhorn_steiner_csr`) gets its distances
   from scipy's C Dijkstra, rebuilds the canonical Voronoi forest from
-  them with vectorized array passes, and reduces the crossing-edge
-  candidates with one scatter-min;
+  them by selecting one parent per CSR row (no sort), and reduces the
+  crossing-edge candidates with one scatter-min;
 * candidate scoring reuses the CSR structure through
   :meth:`CSRGraph.induced` index masks instead of ``graph.subgraph``
   rebuilds.
@@ -58,13 +59,7 @@ def _voronoi_phase(csr: CSRGraph, weights, terminals: list[int], matrix=None):
     bits — and the canonical ``(parent, closest)`` are a pure function of
     the distance array (:func:`_voronoi_from_distances`).
     """
-    if matrix is not None:
-        # A persistent caller (the engine) hands us a preassembled matrix
-        # over the same (indptr, indices); only the weight buffer changes
-        # between candidates, so skip scipy's construction-time validation
-        # and just overwrite the data.
-        matrix.data[:] = weights
-    else:
+    if matrix is None:
         n = csr.num_nodes
         matrix = _scipy_csr_matrix((weights, csr.indices, csr.indptr), shape=(n, n))
     dist = _scipy_dijkstra(matrix, directed=True, indices=terminals, min_only=True)
@@ -74,7 +69,7 @@ def _voronoi_phase(csr: CSRGraph, weights, terminals: list[int], matrix=None):
 
 def _voronoi_from_distances(
     csr: CSRGraph, weights, dist_arr, terminals: list[int]
-) -> tuple[list[int], "np.ndarray"]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The canonical Voronoi forest as a pure function of exact distances.
 
     A node's parent is the *tight* inbound neighbor — ``dist[u] + w(u, v)
@@ -83,25 +78,33 @@ def _voronoi_from_distances(
     strictly positive weights force ``dist[parent] < dist[child]``).  The
     dict implementation applies the same rule edge-by-edge
     (:func:`repro.core.steiner.canonical_forest_from_distances`), so both
-    reconstruct the same forest from the same distances.  Tight
-    arcs number ``O(|V|)`` in practice and everything here is vectorized:
-    one lexsort for parents, pointer-doubling for roots.
+    reconstruct the same forest from the same distances.
+
+    No sort: the graph is undirected, so CSR row ``v`` lists ``v``'s
+    inbound neighbors in ascending index order, each with the weight the
+    dict twin reads from ``v``'s adjacency.  Unreachable distances become
+    NaN, so no comparison against them holds; a scatter-min per row finds
+    the smallest tight ``dist[u]``, and the first position in the row that
+    reaches it is the lowest-index parent.  Roots come from pointer
+    doubling.  Returns ``(parent, closest)`` as ``int64`` arrays, ``-1``
+    for none.
     """
-    src = csr.arc_src
-    dst = csr.indices
+    rows = csr.arc_src
     num_nodes = csr.num_nodes
     finite = np.isfinite(dist_arr)
-    tight = finite[src] & finite[dst]
-    tight &= dist_arr[src] + weights == dist_arr[dst]
-    tail = src[tight]
-    head = dst[tight]
+    reached = np.where(finite, dist_arr, np.nan)
+    tail_dist = reached[csr.indices]
+    tight = np.flatnonzero(tail_dist + weights == reached[rows])
+    tight_rows = rows[tight]
+    tail_dist = tail_dist[tight]
+    row_min = np.full(num_nodes, np.inf)
+    np.minimum.at(row_min, tight_rows, tail_dist)
+    best = tail_dist == row_min[tight_rows]
+    tight_rows = tight_rows[best]
+    first = np.ones(tight_rows.size, dtype=bool)
+    first[1:] = tight_rows[1:] != tight_rows[:-1]
     parent = np.full(num_nodes, -1, dtype=np.int64)
-    if tail.size:
-        order = np.lexsort((tail, dist_arr[tail], head))
-        head_sorted = head[order]
-        first = np.ones(head_sorted.size, dtype=bool)
-        first[1:] = head_sorted[1:] != head_sorted[:-1]
-        parent[head_sorted[first]] = tail[order][first]
+    parent[tight_rows[first]] = csr.indices[tight[best][first]]
     # Sources never have tight inbound arcs (w > 0), but pin them anyway.
     parent[np.asarray(terminals, dtype=np.int64)] = -1
     jump = np.where(parent >= 0, parent, np.arange(num_nodes, dtype=np.int64))
@@ -112,7 +115,7 @@ def _voronoi_from_distances(
         jump = doubled
     closest = jump
     closest[~finite] = -1
-    return parent.tolist(), closest
+    return parent, closest
 
 
 def _crossing_candidates(
@@ -180,9 +183,10 @@ def mehlhorn_steiner_csr(
     Returns ``(nodes, edges)`` of the pruned Steiner tree in index space —
     identical to what :func:`repro.core.steiner.mehlhorn_steiner_tree`
     returns (after relabeling) on the equivalent ``WeightedGraph``.
-    ``matrix`` lets callers reuse a preassembled scipy matrix over the
-    same arrays; its data buffer is overwritten with ``weights``.  Arcs
-    weighted ``+inf`` are absent.
+    ``matrix`` lets a caller reuse a preassembled scipy matrix over the
+    same arrays whose data buffer already holds ``weights`` (the engine
+    writes each λ's weights straight into it, skipping scipy's
+    construction-time validation).  Arcs weighted ``+inf`` are absent.
 
     Raises
     ------
@@ -203,7 +207,7 @@ def mehlhorn_steiner_csr(
     return steiner_tree_from_voronoi(
         terminals,
         candidates,
-        parent.__getitem__,
+        lambda v: int(parent[v]),
         lambda a, b: float(weights[csr.arc_weight_position(a, b)]),
     )
 
@@ -245,9 +249,11 @@ class _IndexHost:
 class CSRWienerSteinerEngine:
     """Array-backend engine behind ``wiener_steiner`` and the serving API.
 
-    Holds the CSR arrays, the per-root BFS caches (distances, canonical
-    parents, and the per-arc ``max(d_r[u], d_r[v])`` used by the Lemma-4
-    reweighting), and the scoring kernels.  A one-shot ``wiener_steiner``
+    Holds the CSR arrays, the per-root BFS cache of ``(dist, parent)``
+    arrays (the per-arc ``max(d_r[u], d_r[v])`` of the Lemma-4
+    reweighting is gathered from ``dist`` per root batch, not cached), one
+    reusable scipy matrix whose data buffer receives each λ's weights, and
+    the scoring kernels.  A one-shot ``wiener_steiner``
     call builds a throwaway engine for its single λ×root sweep;
     :class:`repro.core.service.ConnectorService` keeps one alive across
     many queries so the CSR arrays and root BFS data amortize.
@@ -262,8 +268,8 @@ class CSRWienerSteinerEngine:
         A prebuilt :class:`~repro.graphs.csr.CSRGraph` to adopt instead of
         packing ``graph`` again.
     max_cached_roots:
-        LRU bound on the per-root BFS cache (each entry holds ``O(|V| +
-        |E|)`` arrays); ``None`` (default) means unbounded — right for a
+        LRU bound on the per-root BFS cache (each entry holds two
+        ``O(|V|)`` arrays); ``None`` (default) means unbounded — right for a
         single sweep, wrong for a long-lived service.
     """
 
@@ -299,10 +305,7 @@ class CSRWienerSteinerEngine:
     def _root_data(self, root: Node):
         cached = self._root_cache.get(root)
         if cached is None:
-            root_idx = self.csr.index_of[root]
-            dist, parent = self.csr.bfs_tree(root_idx)
-            arc_max = np.maximum(dist[self.csr.arc_src], dist[self.csr.indices])
-            cached = (dist, parent, arc_max)
+            cached = self.csr.bfs_tree(self.csr.index_of[root])
             self._root_cache.put(root, cached)
         return cached
 
@@ -330,11 +333,10 @@ class CSRWienerSteinerEngine:
 
         Everything else may move distances or parents, so the entry is
         evicted; a delta that adds nodes evicts every entry.  Retained
-        entries keep their ``(dist, parent)``
-        arrays (with the gap-1 insert parent fix-up applied) and get
-        their per-arc ``max`` array recomputed against the new arc
-        layout — the exact expression a cold BFS would evaluate, over
-        provably identical distances.  Returns ``(retained, evicted)``.
+        entries keep their ``(dist, parent)`` arrays, with the gap-1
+        insert parent fix-up applied in place; nothing in an entry
+        depends on the arc layout, so nothing else needs rebasing.
+        Returns ``(retained, evicted)``.
         """
         old_num_nodes = self.csr.num_nodes
         self.csr = new_csr
@@ -344,11 +346,9 @@ class CSRWienerSteinerEngine:
         index_of = new_csr.index_of
         ins = [(index_of[u], index_of[v]) for u, v in delta.inserts]
         dels = [(index_of[u], index_of[v]) for u, v in delta.deletes]
-        arc_src = new_csr.arc_src
-        arc_dst = new_csr.indices
         retained = evicted = 0
         for root in self._root_cache.keys():
-            dist, parent, _stale_arc_max = self._root_cache.peek(root)
+            dist, parent = self._root_cache.peek(root)
             safe = True
             fixups: list[tuple[int, int]] = []
             for iu, iv in ins:
@@ -384,8 +384,6 @@ class CSRWienerSteinerEngine:
             for deep, shallow in fixups:
                 if shallow < int(parent[deep]):
                     parent[deep] = shallow
-            arc_max = np.maximum(dist[arc_src], dist[arc_dst])
-            self._root_cache.replace(root, (dist, parent, arc_max))
             retained += 1
         return retained, evicted
 
@@ -398,47 +396,42 @@ class CSRWienerSteinerEngine:
     def candidate(
         self, root: Node, lam: float, query_set, adjust: bool
     ) -> frozenset[Node]:
-        dist, parent, arc_max = self._root_data(root)
-        weights = lam + arc_max / lam
-        if bool((arc_max < 0).any()):
-            # Arcs inside components unreachable from the root are absent
-            # from G_{r,λ}; +inf is the array equivalent.
-            weights = np.where(arc_max < 0, np.inf, weights)
-        index_of = self.csr.index_of
-        terminals = sorted({index_of[q] for q in query_set} | {index_of[root]})
-        return self._candidate_from_weights(
-            weights, dist, parent, terminals, query_set, adjust, index_of[root]
-        )
+        return self.candidates_for_root(root, [lam], query_set, adjust)[0]
 
     def candidates_for_root(
         self, root: Node, lams, query_set, adjust: bool
     ) -> list[frozenset[Node]]:
-        """Lines 7–11 for one root across a λ batch, one vectorized pass.
+        """Lines 7–11 for one root across a λ batch.
 
-        The whole grid's Lemma-4 weight rows are produced by a single
-        broadcast ``λ[:, None] + arc_max[None, :] / λ[:, None]`` — the
-        same elementwise float64 divide-and-add :meth:`candidate`
-        evaluates per λ, so row ``i`` equals the single-λ weight array
-        bit for bit — and the unreachable-arc mask, terminal index set,
-        and root lookup are computed once instead of per λ.
+        The per-arc ``max(d_r[u], d_r[v])``, the unreachable-arc mask, the
+        terminal index set and the root lookup are computed once per
+        batch.  Each λ's Lemma-4 weights ``max/λ + λ`` are then written
+        straight into the engine's reusable scipy matrix buffer — the same
+        two float64 operations per element as ``λ + max/λ`` (addition
+        commutes exactly), so every row is bit-identical to it — and no
+        ``|grid| × |arcs|`` block is ever allocated.  Arcs inside
+        components unreachable from the root are absent from
+        ``G_{r,λ}``; ``+inf`` is the array equivalent.
         """
-        dist, parent, arc_max = self._root_data(root)
-        lam_arr = np.asarray(list(lams), dtype=np.float64)
-        weight_rows = lam_arr[:, None] + arc_max[None, :] / lam_arr[:, None]
-        if bool((arc_max < 0).any()):
-            weight_rows = np.where(
-                arc_max[None, :] < 0, np.inf, weight_rows
-            )
+        dist, parent = self._root_data(root)
+        arc_max = np.maximum(dist[self.csr.arc_src], dist[self.csr.indices])
+        absent = np.flatnonzero(arc_max < 0)
         index_of = self.csr.index_of
-        terminals = sorted({index_of[q] for q in query_set} | {index_of[root]})
         root_idx = index_of[root]
-        return [
-            self._candidate_from_weights(
-                weight_rows[i], dist, parent, terminals, query_set, adjust,
-                root_idx,
+        terminals = sorted({index_of[q] for q in query_set} | {root_idx})
+        weights = self._scipy_matrix().data
+        built = []
+        for lam in map(float, lams):
+            np.divide(arc_max, lam, out=weights)
+            weights += lam
+            weights[absent] = np.inf
+            built.append(
+                self._candidate_from_weights(
+                    weights, dist, parent, terminals, query_set, adjust,
+                    root_idx,
+                )
             )
-            for i in range(len(lam_arr))
-        ]
+        return built
 
     def _candidate_from_weights(
         self, weights, dist, parent, terminals, query_set, adjust: bool,

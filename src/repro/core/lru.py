@@ -51,18 +51,6 @@ class LRUCache:
         """Read ``key`` without recency or counter effects (``None`` if absent)."""
         return self._data.get(key)
 
-    def replace(self, key, value) -> None:
-        """Overwrite an *existing* entry without recency or counter effects.
-
-        Raises ``KeyError`` for absent keys: replacing is cache
-        maintenance (e.g. rebasing a retained entry onto new graph
-        arrays), and silently inserting under maintenance would bypass
-        the recency bookkeeping of :meth:`put`.
-        """
-        if key not in self._data:
-            raise KeyError(key)
-        self._data[key] = value
-
     def pop(self, key) -> bool:
         """Drop ``key`` if cached; returns whether it was present.
 

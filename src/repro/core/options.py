@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from collections.abc import Iterable
 from typing import Protocol, runtime_checkable
 
@@ -64,7 +65,7 @@ class SolveOptions:
         ``"cps"`` or ``"ctp"``.
     beta:
         λ-grid resolution of Algorithm 1 (the paper suggests ``β = 1``;
-        smaller β tries more λ values).
+        smaller β tries more λ values); must be positive.
     roots:
         Candidate roots; ``None`` (default) means the query set itself
         (Lemma 5).  Normalized to a tuple so options stay hashable.
@@ -82,7 +83,8 @@ class SolveOptions:
         turning it off is an ablation).
     lambda_values:
         Explicit λ grid overriding the geometric sweep; normalized to a
-        tuple.
+        tuple.  Every value must be finite and positive (Lemma 4 divides
+        by λ).
     exact_threshold:
         Largest candidate scored exactly under ``"auto"``/``"sampled"``.
     sample_sources:
@@ -124,7 +126,7 @@ class SolveOptions:
             object.__setattr__(self, "lambda_values", tuple(self.lambda_values))
         if not self.method or not isinstance(self.method, str):
             raise ValueError(f"method must be a non-empty string, got {self.method!r}")
-        if self.beta <= 0:
+        if not self.beta > 0:  # NaN fails too
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.selection not in SELECTIONS:
             raise ValueError(
@@ -135,6 +137,13 @@ class SolveOptions:
             raise ValueError(
                 "lambda_values must be non-empty when given (omit it or "
                 "pass None for the geometric grid)"
+            )
+        if self.lambda_values is not None and not all(
+            math.isfinite(lam) and lam > 0 for lam in self.lambda_values
+        ):
+            raise ValueError(
+                "every lambda value must be finite and positive, got "
+                f"{self.lambda_values}"
             )
         if self.exact_threshold < 0:
             raise ValueError(

@@ -9,7 +9,8 @@ rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
 * **one graph index** — the CSR arrays are built once and shared by every
   query through one :class:`~repro.core.fastpath.CSRWienerSteinerEngine`;
 * **per-root BFS caches with LRU bounds** — Algorithm 1's line-1 BFS data
-  (distances, canonical parents, the Lemma-4 per-arc ``max`` array) is
+  (distances and canonical parents, two ``O(|V|)`` arrays; the Lemma-4
+  per-arc ``max`` is re-gathered from the distances per root batch) is
   keyed by root and survives across queries, so workloads whose queries
   share vertices never recompute a root.  The LRU bound keeps a
   long-lived service's memory proportional to the hot root set, not to
@@ -367,8 +368,8 @@ class ConnectorService:
           roots' candidate sets are never materialized);
         * **λ work sharing**: each root's candidates are built for the
           whole grid in one engine batch at the root's first unpruned
-          encounter (one vectorized reweighting pass), honoring the
-          candidate LRU per ``(root, λ)`` entry.
+          encounter (one per-arc gather per root, then one weight row per
+          λ), honoring the candidate LRU per ``(root, λ)`` entry.
         """
         started = time.perf_counter()
         self._validate(query_set)

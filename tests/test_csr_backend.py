@@ -10,6 +10,7 @@ quality.
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.core.steiner import (
 from repro.core.wiener_steiner import wiener_steiner
 from repro.graphs.csr import CSRGraph, order_map
 from repro.graphs.generators import connectify, erdos_renyi
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, WeightedGraph
 from repro.graphs.traversal import (
     bfs_distances,
     bfs_tree_canonical,
@@ -137,30 +138,77 @@ class TestDijkstraInlineParents:
         assert set(parents) == set(distances) - {source}
 
 
+def _host_with_unreachable_parts(seed: int) -> tuple[WeightedGraph, list]:
+    """A weighted host plus a component no source reaches and isolated
+    nodes, labels shuffled so the unreachable rows interleave the reached
+    ones; returns ``(graph, nodes of the reachable part)``."""
+    rng = random.Random(seed)
+    main = random_weighted_graph(24, 80, seed)
+    stray = [(100 + rng.randrange(8), 100 + rng.randrange(8)) for _ in range(12)]
+    labels = list(main.nodes()) + list(range(100, 108)) + [200, 201, 202]
+    rng.shuffle(labels)
+    host = WeightedGraph()
+    for node in labels:
+        host.add_node(node)
+    for u, v, w in main.edges():
+        host.add_edge(u, v, w)
+    for u, v in stray:
+        if u != v:
+            host.add_edge(u, v, rng.choice([1.0, 2.0, 2.5]))
+    return host, list(main.nodes())
+
+
+def _engine_shaped_host(graph: Graph, root, lam: float) -> WeightedGraph:
+    """``graph`` reweighted as ``G_{r,λ}``: ``λ + max(d_r(u), d_r(v))/λ``,
+    the tie-heavy weights the engine feeds Mehlhorn."""
+    depth = bfs_distances(graph, root)
+    host = WeightedGraph()
+    for node in graph.nodes():
+        host.add_node(node)
+    for u, v in graph.edges():
+        host.add_edge(u, v, lam + max(depth[u], depth[v]) / lam)
+    return host
+
+
+def _assert_forest_identical(wg: WeightedGraph, sources) -> None:
+    """CSR phase 1 (scipy distances + canonical forest) reproduces the
+    dict twin's distances and canonical forest exactly."""
+    order = order_map(wg)
+    node_of = list(wg.nodes())
+    terminal_indices = sorted(order[s] for s in sources)
+    dist = dijkstra_distances_canonical(wg, sources, order, node_of)
+    # The settle-order heap agrees with the distance-only Dijkstra.
+    assert voronoi_dijkstra_canonical(wg, sources, order, node_of)[0] == dist
+    parent, closest = canonical_forest_from_distances(
+        wg, dist, order, node_of, terminal_indices
+    )
+    csr, weights = CSRGraph.from_weighted_graph(wg)
+    csr_dist, csr_parent, csr_closest = _voronoi_phase(
+        csr, weights, terminal_indices
+    )
+    assert csr_dist.tolist() == dist
+    assert csr_parent.tolist() == list(parent)
+    assert csr_closest.tolist() == list(closest)
+
+
 class TestSteinerEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_voronoi_dijkstra_identical(self, seed):
-        """CSR phase 1 (scipy distances + canonical forest) reproduces the
-        dict twin's distances and canonical forest exactly."""
+        """The forest matches the dict twin on random weights, on a host
+        whose unreachable component and isolated nodes give NaN and empty
+        CSR rows, and on engine-shaped Lemma-4 weights, whose many ties
+        exercise the ``(dist[u], u)`` parent rule."""
         wg = random_weighted_graph(30, 110, seed + 9800)
-        order = order_map(wg)
-        node_of = list(wg.nodes())
         rng = random.Random(seed)
-        sources = rng.sample(node_of, 4)
-        terminal_indices = sorted(order[s] for s in sources)
-        dist = dijkstra_distances_canonical(wg, sources, order, node_of)
-        # The settle-order heap agrees with the distance-only Dijkstra.
-        assert voronoi_dijkstra_canonical(wg, sources, order, node_of)[0] == dist
-        parent, closest = canonical_forest_from_distances(
-            wg, dist, order, node_of, terminal_indices
-        )
-        csr, weights = CSRGraph.from_weighted_graph(wg)
-        csr_dist, csr_parent, csr_closest = _voronoi_phase(
-            csr, weights, terminal_indices
-        )
-        assert csr_dist.tolist() == dist
-        assert csr_parent == list(parent)
-        assert csr_closest.tolist() == list(closest)
+        _assert_forest_identical(wg, rng.sample(list(wg.nodes()), 4))
+        host, reachable = _host_with_unreachable_parts(seed + 9850)
+        _assert_forest_identical(host, rng.sample(reachable, 3))
+        g = random_connected_graph(40, 0.1, seed + 9870)
+        nodes = sorted(g.nodes())
+        root = rng.choice(nodes)
+        sources = sorted(set(rng.sample(nodes, 3)) | {root})
+        for lam in (1 / math.sqrt(2), 1.0, 2.0, math.sqrt(40)):
+            _assert_forest_identical(_engine_shaped_host(g, root, lam), sources)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_canonical_forest_consistent(self, seed):
@@ -266,6 +314,30 @@ class TestBackendEquality:
         """The retired ``backend`` knob is rejected, never silently ignored."""
         with pytest.raises(TypeError):
             wiener_steiner(path5, [0, 4], backend="csr")
+
+
+class TestRootBatchMemory:
+    def test_transient_peak_does_not_grow_with_the_grid(self):
+        """A root batch writes one λ's weights at a time into the engine's
+        matrix buffer, so its transient peak is that of one Mehlhorn run,
+        not a ``|grid| × |arcs|`` block."""
+        g = random_connected_graph(2000, 0.005, 10350)
+        engine = CSRWienerSteinerEngine(g)
+        query = frozenset(sorted(g.nodes())[:4])
+        root = min(query)
+        # Warm the root entry and the reusable matrix outside the window.
+        engine.candidates_for_root(root, [1.0], query, True)
+
+        def batch_peak(size: int) -> int:
+            grid = [0.5 + 0.25 * i for i in range(size)]
+            tracemalloc.start()
+            try:
+                engine.candidates_for_root(root, grid, query, True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert batch_peak(32) < 1.5 * batch_peak(4)
 
 
 class TestPositiveWeightContract:

@@ -10,6 +10,7 @@ the one-shot ``wiener_steiner`` on random corpora, while the
 uniformly.
 """
 
+import math
 import random
 
 import pytest
@@ -57,6 +58,11 @@ class TestSolveOptions:
             {"lambda_values": ()},
             {"exact_threshold": -1},
             {"sample_sources": 0},
+            {"beta": math.nan},
+            {"lambda_values": (0.0,)},
+            {"lambda_values": (1.0, -1.0)},
+            {"lambda_values": (math.nan,)},
+            {"lambda_values": (math.inf,)},
         ],
     )
     def test_validates_eagerly(self, kwargs):

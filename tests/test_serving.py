@@ -84,6 +84,11 @@ class TestProtocol:
             with pytest.raises(ValueError, match="unknown option fields"):
                 options_from_payload({"backend": value})
 
+    def test_options_zero_lambda_rejected_at_parse_time(self):
+        """A λ of 0 fails when the request is parsed, not mid-sweep."""
+        with pytest.raises(ValueError, match="lambda"):
+            options_from_payload({"lambda_values": [0]})
+
     def test_encode_decode_line(self):
         message = {"query": [1, 2], "id": 7}
         assert decode_line(encode_line(message)) == message
