@@ -1,40 +1,33 @@
-"""Certified pruning + λ work sharing vs the historical per-pair sweep.
+"""λ work sharing vs the historical per-pair sweep.
 
 Measures the λ×root sweep of
-:meth:`~repro.core.service.ConnectorService._solve_ws` with (a) λ work
-sharing — one root batch per root: the per-arc ``max(d_r[u], d_r[v])``
-gather, the unreachable-arc mask and the terminal set are computed once
-for the whole λ grid, and each λ's weight row is then written into the
-engine's one reusable matrix buffer — and (b) certified landmark-bound
-pruning of ``(root, λ)`` pairs, against the historical baseline that
-built one candidate per pair and scored all of them.  Three paths over
-one instance (the 10k-node / 50k-edge reference) and one mixed workload:
+:meth:`~repro.core.service.ConnectorService._solve_ws`, which shares work
+across the λ grid — one root batch per root: the per-arc
+``max(d_r[u], d_r[v])`` gather, the unreachable-arc mask and the terminal
+set are computed once for the whole grid, and each λ's weight row is then
+written into the engine's one reusable matrix buffer — against the
+historical baseline that built one candidate per ``(root, λ)`` pair.  Two
+paths over one instance (the 10k-node / 50k-edge reference) and one mixed
+workload:
 
 * **unshared** — the historical sweep, emulated pair by pair through the
   engine's single-λ ``candidate()`` entry point, a one-λ root batch, so
   every pair pays its own gather (result-memoized, as the historical
   service was);
-* **shared** — the service with ``prune=False``: work sharing only;
-* **pruned** — the service at defaults: work sharing + certified
-  pruning.
+* **shared** — the service at defaults.
 
 The workload mixes the standard Zipf request stream with *root-ablation*
 queries (explicit ``roots`` lists extending the Lemma-5 default with
 distant vertices — the robustness-ablation pattern of the experiment
-harness).  Ablation roots are where root-level pruning demonstrably
-fires: a distant root's certified floor exceeds the incumbent at its
-first encounter and its whole λ batch is never built.  On the default
-Lemma-5 workload the λ sharing and candidate-level score pruning carry
-the win.
+harness), which widen the sweep beyond the query set.
 
-Everything is gated on **bit-identity**: pruned and unpruned paths must
-return the same winning ``(nodes, root, λ)`` on every request, warm
-re-serves must equal cold ones, and all of it must survive a mutation epoch
-(``apply_delta`` + spot checks against one-shot ``wiener_steiner`` on
-the mutated graph).  The prune counters must exactly partition the
-sweep's pair count.  The full run additionally requires the
-pruned+shared path to beat the unshared baseline on ms/query and writes
-``BENCH_pruning.json``.
+Everything is gated on **bit-identity**: both paths must return the same
+winning ``(nodes, root, λ)`` on every request, warm re-serves must equal
+cold ones, and all of it must survive a mutation epoch (``apply_delta`` +
+checks against a fresh service and one-shot ``wiener_steiner`` on the
+mutated graph).  ``pairs_scored`` must equal the sweep's exact pair
+count.  The full run additionally requires the shared path to beat the
+unshared baseline on ms/query and writes ``BENCH_pruning.json``.
 
 Usage::
 
@@ -71,14 +64,8 @@ from repro.core.wiener_steiner import wiener_steiner
 
 
 def winner(result_or_tuple):
-    """The certified-identical part of an answer: ``(nodes, root, λ)``.
-
-    Pruned and unpruned sweeps agree on the winner by construction; the
-    ``candidates`` trace may legitimately shrink under pruning (pruned
-    roots never materialize their candidate sets), so cross-prune-setting
-    comparisons pin the winner while same-setting comparisons use the
-    full ``identical()`` contract.
-    """
+    """The ``(nodes, root, λ)`` of an answer — all the unshared baseline
+    produces, so the cross-path comparison pins exactly that."""
     if isinstance(result_or_tuple, tuple):
         return result_or_tuple
     return (
@@ -94,8 +81,8 @@ def unshared_sweep(service, options, query, memo):
     Same grid, same canonical order, same strict-improvement selection,
     same result memo the old service had — but every pair pays its own
     per-root gather through the engine's single-λ ``candidate()`` entry
-    point, and nothing is ever pruned.  This is the baseline the tentpole
-    replaced, kept runnable here so the comparison stays honest.
+    point.  This is the baseline λ work sharing replaced, kept runnable
+    here so the comparison stays honest.
     """
     query_set = frozenset(query)
     memo_key = (query_set, options)
@@ -174,7 +161,7 @@ def serve_unshared(service, options, requests):
 
 
 def expected_pairs(graph, options, requests):
-    """The exact (λ, root) pair count the counters must partition."""
+    """The exact (λ, root) pair count ``pairs_scored`` must reach."""
     grid = len(_lambda_grid(graph.num_nodes, options.beta))
     total = 0
     seen = set()
@@ -208,10 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced instance; exit 1 unless pruned and unpruned sweeps "
-        "are bit-identical (cold/warm, across the mutation epoch), "
-        "pruning fires, and the counters partition the "
-        "sweep (CI regression gate; no timing gate, no file written)",
+        help="reduced instance; exit 1 unless the shared and unshared "
+        "sweeps are bit-identical (cold/warm, across the mutation epoch) "
+        "and pairs_scored equals the sweep's pair count (CI regression "
+        "gate; no timing gate, no file written)",
     )
     parser.add_argument(
         "--output",
@@ -238,8 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     graph, _ = build_instance(args.nodes, args.edges, args.query_size, args.seed)
     requests = make_requests(graph, args, rng)
-    pruned_opts = SolveOptions()
-    unpruned_opts = pruned_opts.replace(prune=False)
+    options = SolveOptions()
     print(
         f"instance: {graph}, {len(requests)} requests "
         f"({args.requests} Zipf + {args.ablation} root-ablation with "
@@ -247,80 +233,56 @@ def main(argv: list[str] | None = None) -> int:
         flush=True,
     )
 
-    # --- the three paths, each cold, best-of-N --------------------------
-    def best_of(run):
-        best_seconds = math.inf
-        winners = None
-        for _ in range(args.repeats):
-            outcome, seconds = run()
-            if seconds < best_seconds:
-                best_seconds = seconds
-            winners = outcome
-        return winners, best_seconds
-
-    unshared_winners, unshared_seconds = best_of(
-        lambda: serve_unshared(
-            ConnectorService(graph, unpruned_opts), unpruned_opts, requests
+    # --- the two paths, each cold, best-of-N ----------------------------
+    unshared_seconds = math.inf
+    for _ in range(args.repeats):
+        unshared_winners, seconds = serve_unshared(
+            ConnectorService(graph, options), options, requests
         )
-    )
-    shared_winners, shared_seconds = best_of(
-        lambda: serve(
-            ConnectorService(graph, unpruned_opts), unpruned_opts, requests
-        )
-    )
-    pruned_service = ConnectorService(graph, pruned_opts)
-    pruned_winners, pruned_seconds = serve(pruned_service, pruned_opts, requests)
+        unshared_seconds = min(unshared_seconds, seconds)
+    service = ConnectorService(graph, options)
+    shared_winners, shared_seconds = serve(service, options, requests)
     for _ in range(args.repeats - 1):
-        fresh = ConnectorService(graph, pruned_opts)
-        _, seconds = serve(fresh, pruned_opts, requests)
-        pruned_seconds = min(pruned_seconds, seconds)
-    stats = pruned_service.stats()
+        _, seconds = serve(ConnectorService(graph, options), options, requests)
+        shared_seconds = min(shared_seconds, seconds)
+    stats = service.stats()
 
     per_query = len(requests)
     unshared_ms = unshared_seconds / per_query * 1e3
     shared_ms = shared_seconds / per_query * 1e3
-    pruned_ms = pruned_seconds / per_query * 1e3
     print(f"unshared sweep : {unshared_seconds:8.3f}s ({unshared_ms:7.1f} ms/query)")
     print(f"λ-shared       : {shared_seconds:8.3f}s ({shared_ms:7.1f} ms/query)")
-    print(f"shared + pruned: {pruned_seconds:8.3f}s ({pruned_ms:7.1f} ms/query)")
-    print(f"prune counters : {stats.pairs_pruned} pruned / "
-          f"{stats.pairs_scored} scored ({stats.prune_rate:.1%} of pairs)",
-          flush=True)
+    print(f"pairs scored   : {stats.pairs_scored}", flush=True)
 
-    # --- identity: the three paths agree on every winner ----------------
-    winners_agree = (
-        unshared_winners == shared_winners == pruned_winners
-    )
+    # --- identity: the two paths agree on every winner ------------------
+    winners_agree = unshared_winners == shared_winners
 
-    # --- identity: warm equals cold under pruning -----------------------
-    warm_winners, _ = serve(pruned_service, pruned_opts, requests)
-    warm_identical = warm_winners == pruned_winners
+    # --- identity: warm equals cold -------------------------------------
+    warm_winners, _ = serve(service, options, requests)
+    warm_identical = warm_winners == shared_winners
 
     # --- identity across a mutation epoch -------------------------------
     delta = make_delta(graph, rng, args.delta_ops)
     mutated = graph.copy()
     delta.apply_to_graph(mutated)
-    epoch = pruned_service.apply_delta(delta)
-    unpruned_after = ConnectorService(mutated, unpruned_opts)
+    epoch = service.apply_delta(delta)
+    fresh_after = ConnectorService(mutated, options)
     post_requests = requests[:3] + requests[-2:]
     post_identical = True
     for query, roots in post_requests:
-        p_opts = pruned_opts if roots is None else pruned_opts.replace(roots=roots)
-        u_opts = unpruned_opts if roots is None else unpruned_opts.replace(roots=roots)
-        if winner(pruned_service.solve(query, p_opts)) != winner(
-            unpruned_after.solve(query, u_opts)
+        opts = options if roots is None else options.replace(roots=roots)
+        if not identical(
+            service.solve(query, opts), fresh_after.solve(query, opts)
         ):
             post_identical = False
     spot_query = requests[0][0]
-    # One-shot wiener_steiner shares the default (pruned) configuration,
-    # so the full identical() contract applies, candidates trace included.
     spot_identical = identical(
-        pruned_service.solve(spot_query), wiener_steiner(mutated, spot_query)
+        service.solve(spot_query), wiener_steiner(mutated, spot_query)
     )
 
-    # --- counters partition the sweep ------------------------------------
-    total_pairs = expected_pairs(graph, pruned_opts, requests)
-    counters_partition = stats.pairs_pruned + stats.pairs_scored == total_pairs
+    # --- the counter covers every visited pair --------------------------
+    total_pairs = expected_pairs(graph, options, requests)
+    counters_match = stats.pairs_scored == total_pairs
 
     print(f"identity: paths-agree={winners_agree} warm={warm_identical} "
           f"post-epoch={post_identical} "
@@ -328,25 +290,24 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     if not winners_agree:
-        failures.append("unshared, shared, and pruned sweeps disagree")
+        failures.append("unshared and shared sweeps disagree")
     if not warm_identical:
-        failures.append("warm re-serve differs from the cold pruned sweep")
+        failures.append("warm re-serve differs from the cold sweep")
     if not post_identical:
-        failures.append("pruned and unpruned sweeps disagree after the epoch flip")
+        failures.append(
+            "the mutated service and a fresh one disagree after the epoch flip"
+        )
     if not spot_identical:
         failures.append("post-delta answer differs from one-shot wiener_steiner")
     if epoch != 1:
         failures.append(f"epoch did not advance to 1 (saw {epoch})")
-    if not counters_partition:
+    if not counters_match:
         failures.append(
-            f"counters do not partition the sweep: {stats.pairs_pruned} + "
-            f"{stats.pairs_scored} != {total_pairs}"
+            f"pairs_scored {stats.pairs_scored} != sweep pair count {total_pairs}"
         )
-    if stats.pairs_pruned <= 0:
-        failures.append("pruning never fired on the mixed workload")
-    if not args.smoke and pruned_seconds >= unshared_seconds:
+    if not args.smoke and shared_seconds >= unshared_seconds:
         failures.append(
-            f"pruned+shared sweep ({pruned_ms:.1f} ms/query) did not beat "
+            f"shared sweep ({shared_ms:.1f} ms/query) did not beat "
             f"the unshared baseline ({unshared_ms:.1f} ms/query)"
         )
     for failure in failures:
@@ -358,8 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     record = {
-        "benchmark": "certified λ×root pruning + λ work sharing vs the "
-                     "historical per-pair sweep",
+        "benchmark": "λ work sharing vs the historical per-pair sweep",
         "instance": {
             "model": "erdos_renyi + connectify",
             "num_nodes": graph.num_nodes,
@@ -373,21 +333,14 @@ def main(argv: list[str] | None = None) -> int:
             "ablation_requests": args.ablation,
             "extra_roots_per_ablation": args.extra_roots,
             "note": "root-ablation requests extend the Lemma-5 default "
-                    "roots with random distant vertices — the regime "
-                    "where certified root-level pruning fires",
+                    "roots with random distant vertices",
         },
         "repeats": args.repeats,
         "unshared_ms_per_query": round(unshared_ms, 2),
         "shared_ms_per_query": round(shared_ms, 2),
-        "pruned_ms_per_query": round(pruned_ms, 2),
         "speedup_shared_over_unshared": round(unshared_seconds / shared_seconds, 3),
-        "speedup_pruned_over_unshared": round(unshared_seconds / pruned_seconds, 3),
-        "pruning": {
-            "pairs_pruned": stats.pairs_pruned,
-            "pairs_scored": stats.pairs_scored,
-            "prune_rate": round(stats.prune_rate, 4),
-            "counters_partition_sweep": counters_partition,
-        },
+        "pairs_scored": stats.pairs_scored,
+        "pairs_scored_matches_sweep": counters_match,
         "identical_connectors": {
             "paths_agree": winners_agree,
             "warm_equals_cold": warm_identical,

@@ -1,6 +1,6 @@
 """RPR006 — every RNG in package code is explicitly seeded.
 
-The tower's headline guarantee is bit-identity: sharded, pruned,
+The tower's headline guarantee is bit-identity: sharded, warm,
 replayed, or mutated, the same request yields byte-equal answers.  One
 call into the process-global ``random`` module (or an unseeded
 ``random.Random()``) breaks that reproducibility silently — generators,
@@ -67,7 +67,7 @@ class UnseededRandomRule(Rule):
     scope = ("repro/",)
     rationale = (
         "The whole tower is gated on bit-identity: sharded equals "
-        "single-service equals pruned equals replayed, byte for byte.  "
+        "single-service equals warm equals replayed, byte for byte.  "
         "Any call into the process-global random module (or an "
         "unseeded random.Random()) silently forfeits that — a "
         "generator that cannot be replayed cannot be debugged.  Every "

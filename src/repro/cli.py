@@ -110,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--selection", default="auto",
                        choices=("a", "wiener", "auto", "sampled"),
                        help="candidate scoring policy (default auto)")
-    query.add_argument("--no-prune", action="store_true",
-                       help="disable certified λ×root sweep pruning "
-                            "(ablation; the connector is bit-identical "
-                            "either way, pruning is only faster)")
     query.add_argument("--shards", default="0", metavar="N|SPECS",
                        help="serve the batch through persistent shards: a "
                             "count N of local shard processes (default 0: "
@@ -510,6 +506,13 @@ def _run_query(args: argparse.Namespace) -> int:
         # dataset is loaded and indexed (same order as `repro serve`).
         print(exc, file=sys.stderr)
         return 2
+    try:
+        options = SolveOptions(
+            method=args.method, beta=args.beta, selection=args.selection
+        )
+    except ValueError as exc:
+        print(f"invalid solve option: {exc}", file=sys.stderr)
+        return 2
 
     graph = load_dataset(args.dataset)
     missing = _canonical_sort(
@@ -524,12 +527,6 @@ def _run_query(args: argparse.Namespace) -> int:
         )
         return 2
 
-    options = SolveOptions(
-        method=args.method,
-        beta=args.beta,
-        selection=args.selection,
-        prune=not args.no_prune,
-    )
     wants_footer = bool(args.batch) and not args.as_json
     try:
         service = _make_batch_service(

@@ -464,40 +464,6 @@ class CSRWienerSteinerEngine:
         nodes |= query_set
         return frozenset(nodes)
 
-    # -- pruning primitives (exact integer data for the certified bounds)
-    def host_distances(self, root: Node, nodes) -> list[int]:
-        """Exact host BFS distances from ``root`` to each of ``nodes``.
-
-        Raises on an unreachable node (distance ``-1``) — the sweep only
-        asks about root-reachable vertices, so silence here would mask a
-        pruning-soundness bug.
-        """
-        dist = self._root_data(root)[0]
-        index_of = self.csr.index_of
-        values = [int(dist[index_of[node]]) for node in nodes]
-        if any(value < 0 for value in values):
-            raise KeyError(f"node unreachable from root {root!r}")
-        return values
-
-    def induced_edge_count(self, nodes) -> int:
-        """``|E(G[nodes])|`` by membership-filtered adjacency slices."""
-        member_idx = np.sort(self.csr.indices_for(nodes))
-        if member_idx.size < 2:
-            return 0
-        indptr = self.csr.indptr
-        indices = self.csr.indices
-        slices = [
-            indices[int(indptr[i]) : int(indptr[i + 1])]
-            for i in member_idx.tolist()
-        ]
-        neighbors = np.concatenate(slices) if slices else indices[:0]
-        if neighbors.size == 0:
-            return 0
-        positions = np.searchsorted(member_idx, neighbors)
-        positions[positions >= member_idx.size] = 0
-        degree_sum = int((member_idx[positions] == neighbors).sum())
-        return degree_sum // 2
-
     # -- line 15: scoring via induced index masks ---------------------
     def score_exact(self, nodes) -> float:
         return self.csr.induced(self.csr.indices_for(nodes)).wiener_index()

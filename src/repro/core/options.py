@@ -93,15 +93,6 @@ class SolveOptions:
         Seed of the ``"sampled"`` estimator's source choice — fixed so
         repeated scoring of one candidate is deterministic (and therefore
         cacheable).
-    prune:
-        Apply certified landmark-bound pruning to the λ×root sweep
-        (default on).  Pruning only ever skips ``(root, λ)`` pairs whose
-        provable score lower bound exceeds the running incumbent, so the
-        returned connector is bit-identical either way; turning it off is
-        the benchmark/ablation escape hatch.  Excluded from
-        :meth:`stable_digest` — pruned and unpruned solves of one query
-        are the same answer, so they must share ring placement, gateway
-        coalescing, and remote routing.
     """
 
     method: str = "ws-q"
@@ -113,7 +104,6 @@ class SolveOptions:
     exact_threshold: int = 600
     sample_sources: int = 64
     sample_seed: int = 0
-    prune: bool = True
 
     def __post_init__(self) -> None:
         # Normalize iterable fields to tuples so the options value is
@@ -168,17 +158,9 @@ class SolveOptions:
         (``beta=1`` and ``beta=1.0`` included) have equal digests in every
         process, forever — the property the
         :class:`repro.core.sharded.ShardedConnectorService` router keys on.
-
-        ``prune`` is deliberately excluded: pruning is certified to
-        return the same connector bit for bit, so a pruned and an
-        unpruned ask of one query are the *same key* — they must land on
-        the same shard, coalesce in the gateway, and answer each other
-        from the result caches of remote daemons that never saw the flag.
         """
         fields = []
         for f in dataclasses.fields(self):
-            if f.name == "prune":
-                continue
             fields.append((f.name, stable_repr(getattr(self, f.name))))
             if f.name == "lambda_values":
                 # The retired engine-backend field's default, kept in its

@@ -24,10 +24,7 @@ rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
   carries the two CSR int arrays (plus the label list), never a pickled
   ``Graph``; :func:`service_from_payload` rebuilds a sweep-only replica
   from them.  The persistent shard ring of :mod:`repro.core.sharded` is
-  the one way to run sweeps in parallel;
-* **optional landmark index** — a :class:`repro.graphs.landmarks.LandmarkIndex`
-  built once per service for approximate distance queries alongside
-  exact solves.
+  the one way to run sweeps in parallel.
 
 Identity contract
 -----------------
@@ -61,7 +58,6 @@ from dataclasses import dataclass
 from repro.core.fastpath import CSRWienerSteinerEngine
 from repro.core.lru import LRUCache
 from repro.core.options import SolveOptions
-from repro.core.pruning import candidate_bound, root_bound
 from repro.core.result import ConnectorResult
 from repro.core.versioned import (
     GraphDelta,
@@ -69,7 +65,7 @@ from repro.core.versioned import (
     csr_has_edge,
     index_digest_of,
 )
-from repro.core.wiener_steiner import _lambda_grid, _score, _validate_query
+from repro.core.wiener_steiner import _lambda_grid, _score
 from repro.errors import (
     DeltaError,
     DisconnectedGraphError,
@@ -144,24 +140,11 @@ class ServiceStats:
     epoch: int = 0
     entries_invalidated: int = 0
     entries_retained: int = 0
-    #: Certified-pruning counters: of all the (root, λ) pairs the λ×root
-    #: sweeps of this replica's lifetime visited, how many were skipped
-    #: because a provable score lower bound exceeded the incumbent
-    #: (``pairs_pruned``) vs carried through candidate construction and
-    #: scoring (``pairs_scored``).  They partition the visited pairs:
-    #: ``pairs_pruned + pairs_scored`` equals the lifetime pair total.
-    #: ``landmark_rebuilds`` counts LandmarkIndex constructions (lazy
-    #: first builds and the eager post-delta rebuilds alike).  All three
-    #: default for wire compatibility with older stats payloads.
-    pairs_pruned: int = 0
+    #: Every (root, λ) pair the λ×root sweeps of this replica's lifetime
+    #: visited.  Defaults for wire compatibility with older payloads.
     pairs_scored: int = 0
-    landmark_rebuilds: int = 0
-
-    @property
-    def prune_rate(self) -> float:
-        """Share of visited sweep pairs skipped by certified pruning."""
-        total = self.pairs_pruned + self.pairs_scored
-        return self.pairs_pruned / total if total else 0.0
+    #: Always 0, and not a field: ``perfbench/layers.py`` is its only reader.
+    pairs_pruned = 0
 
     def hit_rate(self, layer: str = "result") -> float:
         """Cache hit rate of one layer, ``0.0`` before any lookup.
@@ -213,10 +196,6 @@ class ConnectorService:
         LRU bounds of the four cache layers (``None`` = unbounded).  The
         defaults keep a busy service's footprint modest; a throwaway
         one-shot service never fills them.
-    landmarks:
-        When set, :attr:`landmark_index` lazily builds a
-        :class:`~repro.graphs.landmarks.LandmarkIndex` with this many
-        landmarks, reusing the service's CSR arrays.
     """
 
     def __init__(
@@ -229,7 +208,6 @@ class ConnectorService:
         max_cached_candidates: int | None = 4096,
         max_cached_scores: int | None = 4096,
         max_cached_results: int | None = 1024,
-        landmarks: int | None = None,
         epoch: int = 0,
     ) -> None:
         if graph is None and csr is None:
@@ -249,13 +227,9 @@ class ConnectorService:
         self._candidates = LRUCache(max_cached_candidates)
         self._scores = LRUCache(max_cached_scores)
         self._results = LRUCache(max_cached_results)
-        self._landmark_count = landmarks
-        self._landmark_index = None
-        self._landmark_rebuilds = 0
         self._queries_served = 0
         self._entries_invalidated = 0
         self._entries_retained = 0
-        self._pairs_pruned = 0
         self._pairs_scored = 0
         self._index_digest: str | None = None
         self._created = time.monotonic()
@@ -269,17 +243,20 @@ class ConnectorService:
             return self.graph.num_nodes
         return self._csr.num_nodes
 
-    def _validate(self, query_set: frozenset) -> None:
+    def _missing(self, vertices) -> list[str]:
+        """Reprs of the given vertices the graph does not hold, sorted."""
         if self.graph is not None:
-            _validate_query(self.graph, query_set)
-            return
+            has = self.graph.has_node
+        else:
+            has = self._csr.index_of.__contains__
+        return sorted(repr(v) for v in vertices if not has(v))
+
+    def _validate(self, query_set: frozenset) -> None:
         if not query_set:
             raise InvalidQueryError("query set must be non-empty")
-        missing = [q for q in query_set if q not in self._csr.index_of]
+        missing = self._missing(query_set)
         if missing:
-            raise InvalidQueryError(
-                f"query vertices not in graph: {sorted(map(repr, missing))}"
-            )
+            raise InvalidQueryError(f"query vertices not in graph: {missing}")
 
     def index_digest(self) -> str:
         """A process- and host-stable hex digest of the graph index content.
@@ -350,26 +327,10 @@ class ConnectorService:
         only short-circuit recomputation of pure functions, so warm and
         cold services return identical outcomes.
 
-        Two certified accelerations ride on the canonical order (both are
-        pure functions of ``(graph, query, options)``, so every serving
-        path — one-shot, warm service, shard replica, any epoch — makes
-        the same decisions):
-
-        * **certified pruning** (``options.prune``, default on): a root
-          whose :func:`~repro.core.pruning.root_bound` exceeds the
-          incumbent at its first canonical encounter is skipped for the
-          whole grid, and a constructed candidate whose
-          :func:`~repro.core.pruning.candidate_bound` exceeds the
-          incumbent skips its (expensive) scoring.  The bounds hold under
-          any scoring root and the incumbent only decreases, so a pruned
-          pair could never have produced a strict improvement — the
-          winner is bit-identical with pruning on or off (the
-          ``candidates`` trace may legitimately shrink, since pruned
-          roots' candidate sets are never materialized);
-        * **λ work sharing**: each root's candidates are built for the
-          whole grid in one engine batch at the root's first unpruned
-          encounter (one per-arc gather per root, then one weight row per
-          λ), honoring the candidate LRU per ``(root, λ)`` entry.
+        **λ work sharing:** each root's candidates are built for the whole
+        grid in one engine batch at the root's first encounter (one
+        per-arc gather per root, then one weight row per λ), honoring the
+        candidate LRU per ``(root, λ)`` entry.
         """
         started = time.perf_counter()
         self._validate(query_set)
@@ -382,6 +343,9 @@ class ConnectorService:
             )
 
         root_list = _root_list(options, query_set)
+        missing = self._missing(root_list)
+        if missing:
+            raise InvalidQueryError(f"root vertices not in graph: {missing}")
 
         engine = self._sweep_engine()
 
@@ -401,36 +365,15 @@ class ConnectorService:
             else _lambda_grid(self.num_nodes, options.beta)
         )
 
-        prune = options.prune and options.method == "ws-q"
-        # Integer bounds from the exact root tables the reachability loop
-        # above just forced — free of extra traversals.
-        bounds = (
-            _sweep_root_bounds(engine, root_list, query_set, options)
-            if prune
-            else {}
-        )
-
         best_key: float = math.inf
         best_nodes: frozenset | None = None
         best_root = None
         best_lambda: float | None = None
-        scored: dict[frozenset, float] = {}
-        pruned_roots: set = set()
+        scored: set[frozenset] = set()
         batches: dict = {}
-        pairs_pruned = pairs_scored = 0
 
         for lam_i, lam in enumerate(grid):
             for root in root_list:
-                if prune:
-                    if root in pruned_roots:
-                        pairs_pruned += 1
-                        continue
-                    if lam_i == 0 and bounds[root] > best_key:
-                        # Decided once, at the root's first canonical
-                        # encounter; the bound is λ-independent.
-                        pruned_roots.add(root)
-                        pairs_pruned += 1
-                        continue
                 per_lam = batches.get(root)
                 if per_lam is None:
                     per_lam = self._candidates_for_root(
@@ -439,33 +382,16 @@ class ConnectorService:
                     batches[root] = per_lam
                 candidate = per_lam[lam_i]
                 if candidate in scored:
-                    pairs_scored += 1
                     continue
-                if prune:
-                    # Checked *before* the score-cache lookup so warm and
-                    # cold sweeps prune (and count) identically.
-                    floor = self._score_bound(engine, candidate, root, options)
-                    if floor > best_key:
-                        # Sentinel entry: later (root, λ) encounters of
-                        # this candidate dedup against it, and the trace
-                        # still counts the candidate as materialized.
-                        scored[candidate] = float(floor)
-                        pairs_pruned += 1
-                        continue
-                pairs_scored += 1
                 key = self._score_candidate(engine, candidate, root, options)
-                scored[candidate] = key
+                scored.add(candidate)
                 if key < best_key:
                     best_key = key
                     best_nodes = candidate
                     best_root = root
                     best_lambda = lam
 
-        # The first (λ, root) pair is never pruned (no finite bound
-        # exceeds an infinite incumbent), so a winner always exists.
-        assert best_nodes is not None
-        self._pairs_pruned += pairs_pruned
-        self._pairs_scored += pairs_scored
+        self._pairs_scored += len(grid) * len(root_list)
         return SweepOutcome(
             nodes=best_nodes,
             root=best_root,
@@ -504,27 +430,6 @@ class ConnectorService:
                     (root, grid[i], query_set, adjust), candidate
                 )
         return per_lam
-
-    def _score_bound(
-        self, engine, nodes: frozenset, root, options: SolveOptions
-    ) -> int:
-        """Certified integer floor on a known candidate's key (see
-        :func:`repro.core.pruning.candidate_bound`)."""
-        node_list = list(nodes)
-        distances = engine.host_distances(root, node_list)
-        selection = options.selection
-        use_exact = selection == "wiener" or (
-            selection in ("auto", "sampled")
-            and len(nodes) <= options.exact_threshold
-        )
-        induced_edges = engine.induced_edge_count(nodes) if use_exact else 0
-        return candidate_bound(
-            selection,
-            options.exact_threshold,
-            len(nodes),
-            distances,
-            induced_edges,
-        )
 
     def _score_candidate(
         self, engine, nodes: frozenset, root, options: SolveOptions
@@ -795,13 +700,6 @@ class ConnectorService:
         epoch = self._versioned.apply(delta)
         self._csr = self._versioned.csr if self._versioned.csr_built else None
         self._index_digest = None
-        # The landmark index is a whole-graph structure; when the service
-        # owns one, rebuild it *now* rather than lazily — shard replicas
-        # apply deltas off the query path, so an eager rebuild keeps the
-        # first post-mutate sweep from paying k BFS/Dijkstra passes.
-        self._landmark_index = None
-        if self._landmark_count is not None:
-            self._build_landmark_index()
 
         retained = invalidated = 0
         if self._engine is not None:
@@ -843,55 +741,8 @@ class ConnectorService:
             epoch=self._versioned.epoch,
             entries_invalidated=self._entries_invalidated,
             entries_retained=self._entries_retained,
-            pairs_pruned=self._pairs_pruned,
             pairs_scored=self._pairs_scored,
-            landmark_rebuilds=self._landmark_rebuilds,
         )
-
-    @property
-    def landmark_index(self):
-        """The service's shared :class:`LandmarkIndex` (or ``None``).
-
-        Built lazily on first access when the service was constructed
-        with ``landmarks=k`` — one set of landmark BFS tables serves
-        every approximate-distance consumer for the life of the service
-        (the ROADMAP's "landmark reuse across queries" item).
-        """
-        if self._landmark_count is None:
-            return None
-        if self._landmark_index is None:
-            self._build_landmark_index()
-        return self._landmark_index
-
-    def _build_landmark_index(self) -> None:
-        """(Re)build the shared landmark index and count the rebuild."""
-        from repro.graphs.landmarks import LandmarkIndex
-
-        if self.graph is None:
-            # Bare-CSR replicas (shard workers) still get landmark tables
-            # — the index runs entirely on the shared int arrays.
-            self._landmark_index = LandmarkIndex(
-                None, num_landmarks=self._landmark_count, csr=self._csr_index()
-            )
-        else:
-            if self.graph.num_nodes >= LandmarkIndex.CSR_THRESHOLD:
-                # Build the service's shared arrays now rather than letting
-                # the index create a private duplicate; the first solve
-                # adopts the same object.
-                self._csr_index()
-            self._landmark_index = LandmarkIndex(
-                self.graph, num_landmarks=self._landmark_count, csr=self._csr
-            )
-        self._landmark_rebuilds += 1
-
-    def estimate_distance(self, u: Node, v: Node) -> float:
-        """Landmark upper bound on ``d_G(u, v)`` (requires ``landmarks=``)."""
-        index = self.landmark_index
-        if index is None:
-            raise GraphError(
-                "construct the service with landmarks=k to enable estimates"
-            )
-        return index.estimate(u, v)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -935,77 +786,6 @@ def _root_list(options: SolveOptions, query_set: frozenset) -> list:
     if not roots:
         raise InvalidQueryError("root candidate list must be non-empty")
     return roots
-
-
-def _sweep_root_bounds(
-    engine, root_list: list, query_set: frozenset, options: SolveOptions
-) -> dict:
-    """Per-root certified score floors for one sweep (see :mod:`repro.core.pruning`).
-
-    Built from the exact per-root distance tables the sweep's
-    reachability check has already forced, restricted to the query
-    vertices — O(|roots| · |Q|) dictionary lookups, no new traversals.
-    Every quantity is an integer derived deterministically from
-    ``(graph, query, options)``, so all serving paths (warm or cold
-    caches, any shard replica) compute identical bounds and
-    hence make identical pruning decisions.
-    """
-    query = sorted(query_set, key=repr)
-    dist_to_q = {
-        r: dict(zip(query, engine.host_distances(r, query)))
-        for r in dict.fromkeys(root_list)
-    }
-    # One (distance_sum, |Q ∪ {r'}|) floor per potential *scoring* root:
-    # candidate dedup means a pruned root's candidate may be scored by any
-    # other root, so proxy bounds must hold under all of them.
-    scorer_floors = [
-        (
-            sum(d for q, d in dist_to_q[r].items() if q != r),
-            len(query_set) + (0 if r in query_set else 1),
-        )
-        for r in root_list
-    ]
-
-    def lower(u, v) -> int:
-        # Certified lower bound on d_G(u, v) for query vertices: exact
-        # when either endpoint has a forced table (always true for the
-        # Lemma-5 default roots = Q), else the best landmark-style
-        # triangle gap through the root tables, floored at 1.
-        if u == v:
-            return 0
-        if u in dist_to_q:
-            return dist_to_q[u][v]
-        if v in dist_to_q:
-            return dist_to_q[v][u]
-        gap = max(abs(t[u] - t[v]) for t in dist_to_q.values())
-        return max(gap, 1)
-
-    q_pair_sum = 0
-    for i, u in enumerate(query):
-        for v in query[i + 1:]:
-            q_pair_sum += lower(u, v)
-
-    bounds: dict = {}
-    for r in root_list:
-        dmap = dist_to_q[r]
-        eccentricity = max(dmap.values())
-        if r in query_set:
-            num_terminals = len(query_set)
-            pair_sum = q_pair_sum
-        else:
-            num_terminals = len(query_set) + 1
-            pair_sum = q_pair_sum + sum(dmap.values())
-        min_size = max(num_terminals, eccentricity + 1)
-        bounds[r] = root_bound(
-            options.selection,
-            options.exact_threshold,
-            min_size,
-            eccentricity,
-            pair_sum,
-            num_terminals,
-            scorer_floors,
-        )
-    return bounds
 
 
 def service_from_payload(payload: dict) -> ConnectorService:

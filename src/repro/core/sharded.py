@@ -521,25 +521,9 @@ class ShardedStats:
         return sum(stats.result_hits for stats in self._snapshots)
 
     @property
-    def pairs_pruned(self) -> int:
-        """Certified-pruned ``(root, λ)`` sweep pairs across the deployment."""
-        return sum(stats.pairs_pruned for stats in self._snapshots)
-
-    @property
     def pairs_scored(self) -> int:
-        """Fully scored ``(root, λ)`` sweep pairs across the deployment."""
+        """``(root, λ)`` sweep pairs visited across the deployment."""
         return sum(stats.pairs_scored for stats in self._snapshots)
-
-    @property
-    def prune_rate(self) -> float:
-        """Aggregate fraction of sweep pairs pruned (``0.0`` before any sweep)."""
-        total = self.pairs_pruned + self.pairs_scored
-        return self.pairs_pruned / total if total else 0.0
-
-    @property
-    def landmark_rebuilds(self) -> int:
-        """Eager landmark-index rebuilds across every replica."""
-        return sum(stats.landmark_rebuilds for stats in self._snapshots)
 
     def hit_rate(self, layer: str = "result") -> float:
         """Aggregate cache hit rate of one layer across the deployment.
@@ -616,11 +600,6 @@ class ShardedConnectorService:
         Forwarded to every *local* shard replica, bounding per-shard
         memory (a remote daemon's bounds were fixed by whoever started
         it).
-    landmarks:
-        When set, the router-local service *and* every local shard
-        replica build a shared :class:`~repro.graphs.landmarks.LandmarkIndex`
-        with this many landmarks, and rebuild it eagerly at
-        delta-apply time so post-mutate sweeps never pay the rebuild.
     mp_context:
         The :mod:`multiprocessing` context that starts local shard
         children (default: the platform's default context).
@@ -651,7 +630,6 @@ class ShardedConnectorService:
         max_cached_candidates: int | None = 4096,
         max_cached_scores: int | None = 4096,
         max_cached_results: int | None = 1024,
-        landmarks: int | None = None,
         mp_context=None,
     ) -> None:
         if shards is not None:
@@ -696,21 +674,15 @@ class ShardedConnectorService:
             max_cached_candidates=max_cached_candidates,
             max_cached_scores=max_cached_scores,
             max_cached_results=max_cached_results,
-            landmarks=landmarks,
         )
         # Kept so apply_delta can rebuild the payload at the new epoch
         # (revived local slots respawn from it and must not be stale).
-        # ``landmarks`` rides along the same channel: replicas built from
-        # the payload own their own landmark index and rebuild it eagerly
-        # at delta-apply time, off the query path.
         self._cache_limits = {
             "max_cached_roots": max_cached_roots,
             "max_cached_candidates": max_cached_candidates,
             "max_cached_scores": max_cached_scores,
             "max_cached_results": max_cached_results,
         }
-        if landmarks is not None:
-            self._cache_limits["landmarks"] = landmarks
         self._payload = self._local.worker_payload(
             cache_limits=self._cache_limits
         )

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from repro.errors import InvalidQueryError
 from repro.graphs.graph import Graph, Node
 
 #: Candidates at most this large are scored with the exact Wiener index
@@ -95,7 +94,8 @@ def wiener_steiner(
     Raises
     ------
     InvalidQueryError
-        If ``query`` is empty or mentions vertices outside the graph.
+        If ``query`` is empty, or ``query`` or ``roots`` mentions vertices
+        outside the graph.
     DisconnectedGraphError
         If the query vertices do not lie in one connected component.
     """
@@ -125,16 +125,6 @@ def wiener_steiner(
 
 #: Public alias matching the paper's problem name.
 minimum_wiener_connector = wiener_steiner
-
-
-def _validate_query(graph: Graph, query_set: frozenset[Node]) -> None:
-    if not query_set:
-        raise InvalidQueryError("query set must be non-empty")
-    missing = [q for q in query_set if not graph.has_node(q)]
-    if missing:
-        raise InvalidQueryError(
-            f"query vertices not in graph: {sorted(map(repr, missing))}"
-        )
 
 
 def _lambda_grid(num_nodes: int, beta: float) -> list[float]:

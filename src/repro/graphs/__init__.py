@@ -28,7 +28,6 @@ from repro.graphs.components import (
 from repro.graphs.cores import core_numbers, k_core_nodes, max_core_component_with
 from repro.graphs.csr import CSRGraph, order_map
 from repro.graphs.graph import Graph, WeightedGraph, Node, Edge
-from repro.graphs.landmarks import LandmarkIndex
 from repro.graphs.metrics import (
     GraphSummary,
     average_clustering,
@@ -87,7 +86,6 @@ __all__ = [
     "shortest_path",
     "UnionFind",
     "core_numbers",
-    "LandmarkIndex",
     "k_core_nodes",
     "max_core_component_with",
     "average_distance",

@@ -113,20 +113,6 @@ class DictOracleEngine:
             candidates.append(frozenset(nodes))
         return candidates
 
-    def host_distances(self, root: Node, nodes) -> list[int]:
-        distances = self._root_data(root)[0]
-        return [distances[node] for node in nodes]
-
-    def induced_edge_count(self, nodes) -> int:
-        members = set(nodes)
-        degree_sum = sum(
-            1
-            for node in members
-            for neighbor in self.graph.neighbors(node)
-            if neighbor in members
-        )
-        return degree_sum // 2
-
     def score_exact(self, nodes) -> float:
         return wiener_index(self.graph.subgraph(nodes))
 

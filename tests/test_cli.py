@@ -83,6 +83,11 @@ class TestMain:
         assert main(["query", "football", "0", "--method", "nope"]) == 2
         assert "unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["0", "nan"])
+    def test_query_bad_beta(self, capsys, beta):
+        assert main(["query", "football", "0", "1", "--beta", beta]) == 2
+        assert "beta" in capsys.readouterr().err
+
     def test_query_bad_vertex(self, capsys):
         assert main(["query", "football", "999999"]) == 2
         err = capsys.readouterr().err

@@ -567,7 +567,7 @@ class TestReplicaPlacement:
 # Chaos: kill / hang / partition one replica mid-stream
 # ----------------------------------------------------------------------
 class TestChaosKill:
-    def test_killed_pipe_replica_fails_over_bit_identically(self):
+    def test_killed_local_replica_fails_over_bit_identically(self):
         graph = small_graph(23)
         rng = random.Random(23)
         queries = random_query_batch(graph, rng, 40)

@@ -24,13 +24,16 @@ from helpers import (
 from oracle import ENGINES, make_service, oracle_solve
 from repro.baselines import METHODS, steiner_connector
 from repro.core.options import FunctionMethod, Method, SolveOptions
-from repro.core.service import ConnectorService, service_from_payload
+from repro.core.service import (
+    ConnectorService,
+    _lambda_grid,
+    _root_list,
+    service_from_payload,
+)
 from repro.core.sharded import ShardedConnectorService
 from repro.core.wiener_steiner import wiener_steiner
 from repro.errors import DisconnectedGraphError, GraphError, InvalidQueryError
 from repro.graphs.graph import Graph
-from repro.graphs.landmarks import LandmarkIndex
-from repro.graphs.traversal import bfs_distances
 
 
 class TestSolveOptions:
@@ -39,6 +42,7 @@ class TestSolveOptions:
         assert options.method == "ws-q"
         assert options.selection == "auto"
         assert not hasattr(options, "backend")  # one engine, no choice
+        assert not hasattr(options, "prune")  # the sweep has no pruning
 
     def test_normalizes_iterables_and_stays_hashable(self):
         options = SolveOptions(roots=[1, 2], lambda_values=[0.5, 2.0])
@@ -159,6 +163,17 @@ class TestServiceIdentity:
         with pytest.raises(InvalidQueryError):
             ConnectorService(triangle).solve([0, 1], SolveOptions(roots=()))
 
+    def test_unknown_root_raises(self, triangle):
+        """An unknown root is a query error on a graph-backed service and
+        on a bare-CSR replica alike, not a KeyError from the engine."""
+        options = SolveOptions(roots=(0, 999))
+        service = ConnectorService(triangle)
+        with pytest.raises(InvalidQueryError, match="999"):
+            service.solve([0, 1], options)
+        replica = service_from_payload(service.worker_payload())
+        with pytest.raises(InvalidQueryError, match="999"):
+            replica.sweep([0, 1], options)
+
     def test_needs_graph_or_csr(self):
         with pytest.raises(GraphError):
             ConnectorService()
@@ -173,6 +188,29 @@ class TestServiceIdentity:
             b = dict_service.solve(query)
             assert a.nodes == b.nodes
             assert a.metadata["root"] == b.metadata["root"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_extended_roots_identical_to_oracle(self, engine, seed=29):
+        """Roots beyond Lemma 5's query set widen the sweep.  One service
+        serves every request, so later ones run on warm root and
+        candidate caches; each answer must equal a cold oracle's."""
+        rng = random.Random(seed)
+        g = random_connected_graph(60, 0.07, seed)
+        nodes = sorted(g.nodes())
+        service = make_service(g, engine=engine)
+        for _ in range(8):
+            query = rng.sample(nodes, rng.randint(2, 4))
+            roots = tuple(dict.fromkeys(query + rng.sample(nodes, 6)))
+            for selection in ("a", "auto"):
+                # A small exact_threshold sends larger candidates through
+                # the proxy under "auto" instead of scoring them exactly.
+                opts = SolveOptions(
+                    roots=roots, selection=selection, exact_threshold=8
+                )
+                assert_connector_identical(
+                    service.solve(query, opts),
+                    make_service(g, opts, "dict").solve(query),
+                )
 
 
 class TestShardWorkerAPI:
@@ -301,7 +339,6 @@ class TestParallelServing:
         assert after.result_hits == before.result_hits + 1
         # answered from the shard's result cache: no new sweep pairs
         assert after.pairs_scored == before.pairs_scored
-        assert after.pairs_pruned == before.pairs_pruned
 
 
 class TestSampledSelection:
@@ -422,35 +459,6 @@ class TestBatchedServingBeatsOneShot:
         assert serving_seconds < one_shot_seconds
 
 
-class TestServiceLandmarks:
-    def test_landmark_index_built_once_and_sound(self):
-        g = random_connected_graph(40, 0.1, 59)
-        service = ConnectorService(g, landmarks=4)
-        index = service.landmark_index
-        assert index is service.landmark_index  # built lazily, then reused
-        nodes = sorted(g.nodes())
-        truth = bfs_distances(g, nodes[0])
-        for v in nodes[1:6]:
-            assert service.estimate_distance(nodes[0], v) >= truth[v]
-
-    def test_no_landmarks_by_default(self, triangle):
-        service = ConnectorService(triangle)
-        assert service.landmark_index is None
-        with pytest.raises(GraphError):
-            service.estimate_distance(0, 1)
-
-    def test_csr_tables_match_dict_tables(self):
-        g = random_connected_graph(150, 0.05, 61)
-        fast = LandmarkIndex(g, num_landmarks=3)
-
-        class _NoCSR(LandmarkIndex):
-            CSR_THRESHOLD = 10**9
-
-        slow = _NoCSR(g, num_landmarks=3)
-        assert fast.landmarks == slow.landmarks
-        assert fast._tables == slow._tables
-
-
 class TestServiceLifecycleAndStats:
     """The shared lifecycle surface and the hit_rate() observability helper."""
 
@@ -480,6 +488,25 @@ class TestServiceLifecycleAndStats:
         assert stats.hit_rate() >= 0.5  # every re-ask is a warm hit
         assert 0.0 <= stats.hit_rate("candidate") <= 1.0
         assert 0.0 <= stats.hit_rate("score") <= 1.0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_pairs_scored_counts_every_visited_pair(self, engine):
+        """Each cold sweep adds |grid| x |roots| pairs; warm re-solves are
+        answered from the result cache and add none."""
+        g = random_connected_graph(45, 0.1, 13)
+        rng = random.Random(13)
+        service = make_service(g, engine=engine)
+        queries = random_query_batch(g, rng, 7, lo=2, hi=5)
+        expected = 0
+        for query in queries:
+            service.solve(query)
+            grid = _lambda_grid(g.num_nodes, service.options.beta)
+            roots = _root_list(service.options, frozenset(query))
+            expected += len(grid) * len(roots)
+        assert service.stats().pairs_scored == expected
+        for query in queries:
+            service.solve(query)
+        assert service.stats().pairs_scored == expected
 
     def test_hit_rate_rejects_unknown_layer(self):
         g = random_connected_graph(12, 0.3, 79)

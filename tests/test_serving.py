@@ -78,11 +78,17 @@ class TestProtocol:
         with pytest.raises(ValueError, match="JSON object"):
             options_from_payload([1, 2])
 
-    def test_options_retired_backend_field_rejected(self):
-        """There is one engine, so ``backend`` is an unknown field now."""
-        for value in ("auto", "csr", "dict"):
+    def test_options_retired_fields_rejected(self):
+        """There is one engine and no sweep pruning, so ``backend`` and
+        ``prune`` are unknown fields now."""
+        for payload in (
+            {"backend": "auto"},
+            {"backend": "csr"},
+            {"backend": "dict"},
+            {"prune": False},
+        ):
             with pytest.raises(ValueError, match="unknown option fields"):
-                options_from_payload({"backend": value})
+                options_from_payload(payload)
 
     def test_options_zero_lambda_rejected_at_parse_time(self):
         """A λ of 0 fails when the request is parsed, not mid-sweep."""

@@ -409,23 +409,9 @@ class TestSolveOptionsKeys:
         "sample_seed": 3,
     }
 
-    #: Fields certified not to change the answer, hence *excluded* from the
-    #: routing digest (pruned and unpruned asks of one query must land on
-    #: the same shard and coalesce in the gateway).
-    DIGEST_NEUTRAL = {"prune": False}
-
     def test_variants_cover_every_field(self):
         field_names = {f.name for f in dataclasses.fields(SolveOptions)}
-        assert set(self.VARIANTS) | set(self.DIGEST_NEUTRAL) == field_names
-
-    def test_digest_neutral_fields_share_routing_key(self):
-        base = SolveOptions()
-        for field, value in self.DIGEST_NEUTRAL.items():
-            changed = base.replace(**{field: value})
-            # Still a distinct equality/hash key (separate cache entries) —
-            # only the cross-process routing digest treats them as one.
-            assert changed != base
-            assert changed.stable_digest() == base.stable_digest()
+        assert set(self.VARIANTS) == field_names
 
     @pytest.mark.parametrize("field", sorted(VARIANTS))
     def test_each_field_participates_in_equality_hash_and_digest(self, field):
@@ -504,7 +490,6 @@ class TestRingPlacementGolden:
             roots=(7, "a"),
             selection="wiener",
             lambda_values=(1, 2.5),
-            prune=False,
         )
         assert request_digest(frozenset(["a", 7, 2.5]), options).hex() == (
             "12f6e3b8c6265ce02b8c2b6c04f85ec568dc11e7"

@@ -601,7 +601,7 @@ class TestShardedEpochIdentity:
                 service.close()
         assert_no_orphan_processes()
 
-    def test_pipe_replica_killed_before_mutate_revives_at_the_new_epoch(self):
+    def test_local_replica_killed_before_mutate_revives_at_the_new_epoch(self):
         graph = random_connected_graph(36, 0.12, seed=61)
         reference = graph.copy()
         rng = random.Random(62)
