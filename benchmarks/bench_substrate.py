@@ -1,19 +1,20 @@
 """Micro-benchmarks for the graph substrate the algorithm is built on.
 
 These time the kernels that dominate ws-q's Õ(|Q||E|) runtime: BFS,
-weighted Dijkstra, Mehlhorn's Steiner approximation, Wiener index
-evaluation, and sampled betweenness.
+Mehlhorn's Steiner approximation (the CSR kernel every ws-q solve runs),
+Wiener index evaluation, and sampled betweenness.
 """
 
 import random
 
 import pytest
 
-from repro.core.steiner import mehlhorn_steiner_tree
+from repro.core.fastpath import mehlhorn_steiner_csr
 from repro.graphs.centrality import betweenness_centrality, pagerank
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import barabasi_albert, connectify
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.traversal import bfs_distances, dijkstra
+from repro.graphs.traversal import bfs_distances
 from repro.graphs.wiener import wiener_index
 
 
@@ -38,17 +39,13 @@ def test_bfs_single_source(benchmark, pl_graph):
     assert len(distances) == pl_graph.num_nodes
 
 
-def test_dijkstra_single_source(benchmark, weighted_graph):
-    source = next(iter(weighted_graph.nodes()))
-    distances, _ = benchmark(dijkstra, weighted_graph, source)
-    assert len(distances) == weighted_graph.num_nodes
-
-
 def test_mehlhorn_steiner(benchmark, weighted_graph):
     rng = random.Random(3)
     terminals = rng.sample(sorted(weighted_graph.nodes()), 10)
-    tree = benchmark(mehlhorn_steiner_tree, weighted_graph, terminals)
-    assert set(terminals) <= set(tree.nodes())
+    csr, weights = CSRGraph.from_weighted_graph(weighted_graph)
+    indices = csr.indices_for(terminals)
+    nodes, _ = benchmark(mehlhorn_steiner_csr, csr, weights, indices)
+    assert set(indices.tolist()) <= set(nodes)
 
 
 def test_wiener_index_medium(benchmark):

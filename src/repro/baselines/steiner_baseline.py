@@ -1,8 +1,10 @@
 """``st`` — the Steiner-tree baseline.
 
-Mehlhorn's 2-approximation (the same subroutine ``ws-q`` uses internally,
-as §6.1 notes) applied directly to the unweighted host graph with the query
-set as terminals.  The connector is the vertex set of the resulting tree.
+Mehlhorn's 2-approximation applied directly to the unweighted host graph
+with the query set as terminals.  It is the same subroutine ``ws-q`` uses
+internally, as §6.1 notes, and the same code: the CSR kernel
+:func:`repro.core.fastpath.mehlhorn_steiner_csr`, run with unit weights.
+The connector is the vertex set of the resulting tree.
 """
 
 from __future__ import annotations

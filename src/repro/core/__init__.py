@@ -1,7 +1,10 @@
 """The paper's core contribution: the WienerSteiner approximation algorithm,
-its objective-function chain, exact algorithms, and Steiner-tree machinery —
-plus the serving layers: :class:`ConnectorService` / :class:`SolveOptions`
-amortize one graph index across many queries,
+its objective-function chain, exact algorithms, and the one Mehlhorn
+Steiner kernel (:func:`mehlhorn_steiner_csr`: ws-q runs it on every
+``G_{r,λ}``, and :func:`steiner_tree_unweighted`, the ``st`` baseline,
+runs it with unit weights) — plus the serving layers:
+:class:`ConnectorService` / :class:`SolveOptions` amortize one graph index
+across many queries,
 :class:`ShardedConnectorService` partitions that cache state across
 persistent shard processes behind a consistent-hash router, and
 :class:`AsyncGateway` micro-batches concurrently-arriving asyncio
@@ -15,7 +18,11 @@ from repro.core.exact import (
     exact_pivot,
     optimal_wiener_index,
 )
-from repro.core.fastpath import CSRWienerSteinerEngine, mehlhorn_steiner_csr
+from repro.core.fastpath import (
+    CSRWienerSteinerEngine,
+    mehlhorn_steiner_csr,
+    steiner_tree_from_voronoi,
+)
 from repro.core.gateway import (
     AsyncGateway,
     GatewayClosedError,
@@ -35,20 +42,7 @@ from repro.core.options import FunctionMethod, Method, SolveOptions
 from repro.core.result import ConnectorResult
 from repro.core.service import ConnectorService, ServiceStats, SweepOutcome
 from repro.core.sharded import ShardedConnectorService, ShardedStats
-from repro.core.steiner import (
-    mehlhorn_steiner_tree,
-    minimum_spanning_tree,
-    prune_steiner_leaves,
-    steiner_tree_from_voronoi,
-    steiner_tree_unweighted,
-    tree_total_weight,
-    voronoi_dijkstra_canonical,
-)
-from repro.core.weighted import (
-    WeightedConnectorResult,
-    weighted_wiener_index,
-    wiener_steiner_weighted,
-)
+from repro.core.steiner import steiner_tree_unweighted
 from repro.core.wiener_steiner import (
     EXACT_SCORING_THRESHOLD,
     minimum_wiener_connector,
@@ -85,17 +79,9 @@ __all__ = [
     "ConnectorResult",
     "CSRWienerSteinerEngine",
     "mehlhorn_steiner_csr",
-    "mehlhorn_steiner_tree",
-    "minimum_spanning_tree",
-    "prune_steiner_leaves",
     "steiner_tree_from_voronoi",
     "steiner_tree_unweighted",
-    "tree_total_weight",
-    "voronoi_dijkstra_canonical",
     "EXACT_SCORING_THRESHOLD",
     "minimum_wiener_connector",
     "wiener_steiner",
-    "WeightedConnectorResult",
-    "weighted_wiener_index",
-    "wiener_steiner_weighted",
 ]

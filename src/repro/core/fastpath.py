@@ -21,18 +21,20 @@ whole sweep and replaces each inner loop with array operations:
   rebuilds.
 
 Tie-breaking everywhere is by the relabeled integer index — the canonical
-order of :func:`repro.graphs.csr.order_map` — and phases 2–3 of Mehlhorn
-are shared with the dict implementation
-(:func:`repro.core.steiner.steiner_tree_from_voronoi`), so the engine
-returns the same connector as the structurally independent dict oracle
-the test suite compares it against.
+order of :func:`repro.graphs.csr.order_map`.  Phases 2–3 of Mehlhorn
+(:func:`steiner_tree_from_voronoi`) live here too, so this module holds
+the library's only Steiner kernel: the ``st`` baseline
+(:func:`repro.core.steiner.steiner_tree_unweighted`) runs it with unit
+weights.  The test suite's dict oracle (``tests/oracle.py``) rebuilds
+phase 1 independently and feeds the same phases 2–3, so the engine must
+return its connectors bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix as _scipy_csr_matrix
@@ -40,13 +42,15 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.core.adjust import adjust_distances
 from repro.core.lru import LRUCache
-from repro.core.steiner import steiner_tree_from_voronoi
+from repro.errors import DisconnectedGraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node, WeightedGraph
+from repro.graphs.unionfind import UnionFind
 
 __all__ = [
     "CSRWienerSteinerEngine",
     "mehlhorn_steiner_csr",
+    "steiner_tree_from_voronoi",
 ]
 
 
@@ -76,13 +80,13 @@ def _voronoi_from_distances(
     == dist[v]``, bit-exact — minimizing ``(dist[u], u)``; ``closest`` is
     the root of the resulting forest (every root is a source, because
     strictly positive weights force ``dist[parent] < dist[child]``).  The
-    dict implementation applies the same rule edge-by-edge
-    (:func:`repro.core.steiner.canonical_forest_from_distances`), so both
-    reconstruct the same forest from the same distances.
+    test suite's dict oracle applies the same rule edge by edge
+    (``tests/oracle.py``), so both reconstruct the same forest from the
+    same distances.
 
     No sort: the graph is undirected, so CSR row ``v`` lists ``v``'s
     inbound neighbors in ascending index order, each with the weight the
-    dict twin reads from ``v``'s adjacency.  Unreachable distances become
+    dict oracle reads from ``v``'s adjacency.  Unreachable distances become
     NaN, so no comparison against them holds; a scatter-min per row finds
     the smallest tight ``dist[u]``, and the first position in the row that
     reaches it is the lowest-index parent.  Roots come from pointer
@@ -127,7 +131,7 @@ def _crossing_candidates(
 ) -> dict[tuple[int, int], tuple[float, int, int]]:
     """Best crossing edge per terminal pair, via a scatter-min over arcs.
 
-    Matches the dict implementation's per-key minimum of
+    Matches the dict oracle's per-key minimum of
     ``(length, min endpoint, max endpoint)`` exactly: lengths are always
     evaluated as ``dist[lo] + w + dist[hi]`` over the ``lo < hi`` arc
     orientation (bit-identical floats), ``np.minimum.at`` finds the exact
@@ -180,9 +184,10 @@ def mehlhorn_steiner_csr(
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """Mehlhorn's 2-approximation consuming ``(indptr, indices, weights)``.
 
-    Returns ``(nodes, edges)`` of the pruned Steiner tree in index space —
-    identical to what :func:`repro.core.steiner.mehlhorn_steiner_tree`
-    returns (after relabeling) on the equivalent ``WeightedGraph``.
+    Returns ``(nodes, edges)`` of the pruned Steiner tree in index space:
+    sorted nodes and sorted ``(lo, hi)`` edges — identical to what the
+    test suite's dict oracle (``tests/oracle.py``) returns, after
+    relabeling, on the equivalent ``WeightedGraph``.
     ``matrix`` lets a caller reuse a preassembled scipy matrix over the
     same arrays whose data buffer already holds ``weights`` (the engine
     writes each λ's weights straight into it, skipping scipy's
@@ -210,6 +215,111 @@ def mehlhorn_steiner_csr(
         lambda v: int(parent[v]),
         lambda a, b: float(weights[csr.arc_weight_position(a, b)]),
     )
+
+
+def steiner_tree_from_voronoi(
+    terminal_indices: list[int],
+    candidates: dict[tuple[int, int], tuple[float, int, int]],
+    parent_of: Callable[[int], int],
+    weight_of: Callable[[int, int], float],
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Phases 2–3 of Mehlhorn: distance-network MST, expansion, leaf pruning.
+
+    Shared by :func:`mehlhorn_steiner_csr` and the test suite's dict
+    oracle, which builds phase 1 independently.
+
+    Everything happens in relabeled-index space and every ordering is
+    canonical, so the output depends only on the (deterministic) Voronoi
+    phase, never on hash iteration order.
+
+    Parameters
+    ----------
+    terminal_indices:
+        Sorted terminal indices.
+    candidates:
+        ``(min source idx, max source idx) -> (length, min endpoint idx,
+        max endpoint idx)`` — the best crossing edge per terminal pair.
+    parent_of:
+        Voronoi shortest-path forest accessor (``-1`` for roots).
+    weight_of:
+        Edge weight accessor in index space.
+
+    Returns
+    -------
+    (nodes, edges)
+        Sorted node indices and canonically sorted edge index pairs of the
+        pruned Steiner tree.
+
+    Raises
+    ------
+    DisconnectedGraphError
+        If the candidate edges cannot connect all terminals.
+    """
+    ordered = sorted(candidates.items(), key=lambda item: (item[1][0], item[0]))
+    forest = UnionFind(terminal_indices)
+    bridges: list[tuple[int, int]] = []
+    for (source_a, source_b), (_, u_idx, v_idx) in ordered:
+        if forest.union(source_a, source_b):
+            bridges.append((u_idx, v_idx))
+    if forest.num_sets > 1:
+        raise DisconnectedGraphError("terminals lie in different components")
+
+    # Expand every bridge into its two shortest paths back to the sources.
+    union_nodes: set[int] = set(terminal_indices)
+    union_edges: set[tuple[int, int]] = set()
+    for u_idx, v_idx in bridges:
+        union_edges.add((u_idx, v_idx) if u_idx < v_idx else (v_idx, u_idx))
+        union_nodes.add(u_idx)
+        union_nodes.add(v_idx)
+        for endpoint in (u_idx, v_idx):
+            node = endpoint
+            while True:
+                parent = parent_of(node)
+                if parent < 0:
+                    break
+                union_edges.add(
+                    (node, parent) if node < parent else (parent, node)
+                )
+                union_nodes.add(parent)
+                node = parent
+
+    # Re-span the union (Kruskal, canonical ordering) ...
+    mst_order = sorted(union_edges, key=lambda e: (weight_of(*e), e))
+    spanning = UnionFind(sorted(union_nodes))
+    adjacency: dict[int, list[int]] = {idx: [] for idx in sorted(union_nodes)}
+    mst_edges: list[tuple[int, int]] = []
+    for a, b in mst_order:
+        if spanning.union(a, b):
+            mst_edges.append((a, b))
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+
+    # ... and strip non-terminal leaves (the fixpoint is order-independent).
+    terminal_set = set(terminal_indices)
+    degree = {idx: len(neighbors) for idx, neighbors in adjacency.items()}
+    removable = [
+        idx for idx in adjacency if degree[idx] <= 1 and idx not in terminal_set
+    ]
+    removed: set[int] = set()
+    while removable:
+        idx = removable.pop()
+        if idx in removed or degree[idx] > 1:
+            continue
+        removed.add(idx)
+        for neighbor in adjacency[idx]:
+            if neighbor in removed:
+                continue
+            degree[neighbor] -= 1
+            if degree[neighbor] <= 1 and neighbor not in terminal_set:
+                removable.append(neighbor)
+
+    nodes = sorted(union_nodes - removed)
+    edges = sorted(
+        (a, b)
+        for a, b in mst_edges
+        if a not in removed and b not in removed
+    )
+    return nodes, edges
 
 
 class _IntArrayMapping:

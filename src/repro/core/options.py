@@ -1,10 +1,9 @@
 """Uniform solve configuration: :class:`SolveOptions` and the :class:`Method` protocol.
 
 Before the serving redesign every entry point grew its own keyword soup —
-``wiener_steiner(beta, roots, selection, adjust, lambda_values)``,
-``wiener_steiner_weighted(beta, max_lambda_values)`` — and the baseline
-registry used a third, positional-only convention.  This module collapses
-all of that into two small contracts:
+``wiener_steiner(beta, roots, selection, adjust, lambda_values)`` — and the
+baseline registry used a second, positional-only convention.  This module
+collapses both into two small contracts:
 
 * :class:`SolveOptions` — a frozen (hence hashable, hence cacheable)
   dataclass carrying every tunable of a connector solve.  It is the cache

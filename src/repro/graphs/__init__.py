@@ -43,11 +43,8 @@ from repro.graphs.traversal import (
     bfs_limited,
     bfs_tree,
     bfs_tree_canonical,
-    dijkstra,
     eccentricity,
     multi_source_bfs,
-    multi_source_dijkstra,
-    parents_from_dijkstra,
     shortest_path,
 )
 from repro.graphs.unionfind import UnionFind
@@ -68,7 +65,6 @@ __all__ = [
     "CSRGraph",
     "order_map",
     "bfs_tree_canonical",
-    "parents_from_dijkstra",
     "connected_components",
     "is_connected",
     "is_tree",
@@ -79,10 +75,8 @@ __all__ = [
     "bfs_distances",
     "bfs_limited",
     "bfs_tree",
-    "dijkstra",
     "eccentricity",
     "multi_source_bfs",
-    "multi_source_dijkstra",
     "shortest_path",
     "UnionFind",
     "core_numbers",

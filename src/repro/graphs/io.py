@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.errors import ParseError
+from repro.errors import GraphError, ParseError
 from repro.graphs.graph import Graph, Node, WeightedGraph
 
 
@@ -147,14 +147,11 @@ def read_stp(path: str | os.PathLike) -> SteinerInstance:
             if section == "graph":
                 _parse_graph_line(line, line_number, graph)
                 if upper.startswith("NODES"):
-                    declared_nodes = int(line.split()[1])
+                    declared_nodes = _int_after_tag(line, line_number)
                 continue
             if section == "terminals":
-                parts = line.split()
-                if parts[0].upper() == "T":
-                    if len(parts) < 2:
-                        raise ParseError("terminal line without node id", line_number)
-                    terminals.add(int(parts[1]))
+                if line.split()[0].upper() == "T":
+                    terminals.add(_int_after_tag(line, line_number))
                 continue
     # SteinLib numbers nodes 1..N even when some are isolated.
     for node in range(1, declared_nodes + 1):
@@ -179,6 +176,20 @@ def _parse_graph_line(line: str, line_number: int, graph: WeightedGraph) -> None
         except ValueError as exc:
             raise ParseError(str(exc), line_number) from exc
         if u != v:
-            graph.add_edge(u, v, weight)
+            try:
+                graph.add_edge(u, v, weight)
+            except GraphError as exc:
+                raise ParseError(str(exc), line_number) from exc
         return
     raise ParseError(f"unrecognized graph-section line {line!r}", line_number)
+
+
+def _int_after_tag(line: str, line_number: int) -> int:
+    """The integer after a ``Nodes`` or ``T`` tag."""
+    parts = line.split()
+    try:
+        return int(parts[1])
+    except (IndexError, ValueError):
+        raise ParseError(
+            f"{parts[0]!r} line needs an integer, got {line!r}", line_number
+        ) from None

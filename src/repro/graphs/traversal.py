@@ -1,4 +1,4 @@
-"""Shortest-path traversals: BFS for unweighted graphs, Dijkstra for weighted.
+"""Shortest-path traversals: BFS on unweighted graphs.
 
 These routines are the workhorses of the whole library — the WienerSteiner
 algorithm's complexity is dominated by ``|Q|`` single-source traversals
@@ -13,12 +13,11 @@ hashable node labels.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from collections.abc import Iterable
 
 from repro.errors import NodeNotFoundError
-from repro.graphs.graph import Graph, Node, WeightedGraph
+from repro.graphs.graph import Graph, Node
 
 
 def bfs_distances(graph: Graph, source: Node) -> dict[Node, int]:
@@ -148,100 +147,6 @@ def _reconstruct_path(parents: dict[Node, Node], source: Node, target: Node) -> 
         path.append(parents[path[-1]])
     path.reverse()
     return path
-
-
-def dijkstra(
-    graph: WeightedGraph, source: Node
-) -> tuple[dict[Node, float], dict[Node, Node]]:
-    """Single-source Dijkstra on a non-negatively weighted graph.
-
-    Returns ``(distances, parents)``; unreachable nodes are absent from both
-    maps.  Runs in ``O(|E| log |V|)`` with a binary heap.  Parents are
-    tracked inline in the heap loop (the relaxing predecessor travels with
-    each heap entry and is committed when the node settles) — no separate
-    float-tolerance recovery pass is needed; see
-    :func:`parents_from_dijkstra` for the standalone recovery utility.
-    """
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    distances: dict[Node, float] = {}
-    parents: dict[Node, Node] = {}
-    counter = 0  # tie-breaker so heterogeneous node types never get compared
-    heap: list[tuple[float, int, Node, Node | None]] = [(0.0, counter, source, None)]
-    tentative: dict[Node, float] = {source: 0.0}
-    while heap:
-        dist, _, u, parent = heapq.heappop(heap)
-        if u in distances:
-            continue
-        distances[u] = dist
-        if parent is not None:
-            parents[u] = parent
-        for v, weight in graph.neighbors(u).items():
-            if v in distances:
-                continue
-            candidate = dist + weight
-            if candidate < tentative.get(v, float("inf")):
-                tentative[v] = candidate
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, v, u))
-    return distances, parents
-
-
-def parents_from_dijkstra(
-    graph: WeightedGraph, distances: dict[Node, float]
-) -> dict[Node, Node]:
-    """Recover a shortest-path-tree parent map from settled distances.
-
-    For each settled node ``v`` (other than the root), pick any neighbor
-    ``u`` with ``dist[u] + w(u, v) == dist[v]``; such a neighbor always
-    exists.  Floating-point weights are compared with a small tolerance.
-    """
-    parents: dict[Node, Node] = {}
-    for v, dist_v in distances.items():
-        if dist_v == 0.0:
-            continue
-        for u, weight in graph.neighbors(v).items():
-            dist_u = distances.get(u)
-            if dist_u is None:
-                continue
-            if abs(dist_u + weight - dist_v) <= 1e-9 * max(1.0, dist_v):
-                parents[v] = u
-                break
-    return parents
-
-
-def multi_source_dijkstra(
-    graph: WeightedGraph, sources: Iterable[Node]
-) -> tuple[dict[Node, float], dict[Node, Node], dict[Node, Node]]:
-    """Multi-source Dijkstra returning ``(distances, parents, closest_source)``.
-
-    This is the first phase of Mehlhorn's Steiner-tree algorithm: it computes
-    the weighted Voronoi partition of the graph around the terminal set.
-    """
-    distances: dict[Node, float] = {}
-    parents: dict[Node, Node] = {}
-    closest: dict[Node, Node] = {}
-    counter = 0
-    heap: list[tuple[float, int, Node, Node, Node | None]] = []
-    for source in sources:
-        if not graph.has_node(source):
-            raise NodeNotFoundError(source)
-        heap.append((0.0, counter, source, source, None))
-        counter += 1
-    heapq.heapify(heap)
-    while heap:
-        dist, _, u, source, parent = heapq.heappop(heap)
-        if u in distances:
-            continue
-        distances[u] = dist
-        closest[u] = source
-        if parent is not None:
-            parents[u] = parent
-        for v, weight in graph.neighbors(u).items():
-            if v not in distances:
-                counter += 1
-                heapq.heappush(heap, (dist + weight, counter, v, source, u))
-    return distances, parents, closest
 
 
 def bfs_tree_canonical(

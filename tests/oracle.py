@@ -8,6 +8,13 @@ instance, dict/deque BFS, heap Dijkstra — with every tie broken through
 the canonical node order map, so it must return the *same* connectors as
 the CSR engine, bit for bit.
 
+:func:`mehlhorn_steiner_tree` is the oracle's Mehlhorn: its own phase 1
+(:func:`dijkstra_distances_canonical`, then
+:func:`canonical_forest_from_distances` and a dict crossing-edge scan)
+feeding the kernel's phases 2–3, ``steiner_tree_from_voronoi``.  It is the
+reference the CSR kernel ``mehlhorn_steiner_csr`` and the ``st`` baseline
+are compared against.
+
 The oracle speaks the CSR engine's interface (``apply_delta(delta,
 new_csr)`` included), so tests install it through the one attribute that
 holds a service's engine and then drive the unchanged λ×root sweep::
@@ -20,15 +27,18 @@ holds a service's engine and then drive the unchanged λ×root sweep::
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
+from collections.abc import Iterable
 
 from repro.core.adjust import adjust_distances
+from repro.core.fastpath import steiner_tree_from_voronoi
 from repro.core.lru import LRUCache
 from repro.core.options import SolveOptions
 from repro.core.service import ConnectorService
-from repro.core.steiner import mehlhorn_steiner_tree
 from repro.core.wiener_steiner import EXACT_SCORING_THRESHOLD
+from repro.errors import InvalidQueryError
 from repro.graphs.csr import order_map
 from repro.graphs.graph import Graph, Node, WeightedGraph
 from repro.graphs.traversal import bfs_distances, bfs_tree_canonical
@@ -37,6 +47,175 @@ from repro.graphs.wiener import rooted_distance_sum, wiener_index
 #: Parametrization ids of the engine-identity tests: ``"csr"`` is the
 #: service's own engine, ``"dict"`` the oracle installed in its place.
 ENGINES = ("dict", "csr")
+
+
+def mehlhorn_steiner_tree(
+    graph: WeightedGraph, terminals: Iterable[Node]
+) -> WeightedGraph:
+    """The dict Mehlhorn 2-approximation; weights must be strictly positive.
+
+    The returned :class:`WeightedGraph` is a tree whose nodes include all
+    terminals and whose edge weights are copied from the host graph.
+    Nodes and edges are inserted in canonical (relabeled-index) order, so
+    relabeling ``mehlhorn_steiner_csr``'s output the same way gives an
+    equal tree.
+
+    Raises
+    ------
+    InvalidQueryError
+        If the terminal set is empty or contains unknown nodes.
+    DisconnectedGraphError
+        If the terminals do not lie in a single component.
+    """
+    terminal_list = list(dict.fromkeys(terminals))
+    if not terminal_list:
+        raise InvalidQueryError("terminal set must be non-empty")
+    for terminal in terminal_list:
+        if not graph.has_node(terminal):
+            raise InvalidQueryError(f"terminal {terminal!r} not in graph")
+    if len(terminal_list) == 1:
+        singleton = WeightedGraph()
+        singleton.add_node(terminal_list[0])
+        return singleton
+
+    order = order_map(graph)
+    node_of = list(graph.nodes())
+    terminal_indices = sorted(order[t] for t in terminal_list)
+    distances = dijkstra_distances_canonical(graph, terminal_list, order, node_of)
+    parents, closest = canonical_forest_from_distances(
+        graph, distances, order, node_of, terminal_indices
+    )
+
+    # Phase 2 input: for every terminal pair, the best crossing edge by the
+    # canonical key (length, min endpoint index, max endpoint index).  The
+    # length is always evaluated as dist[lo] + w + dist[hi], so the floats
+    # match the CSR kernel's whatever the edge orientation.
+    candidates: dict[tuple[int, int], tuple[float, int, int]] = {}
+    for u, v, weight in graph.edges():
+        u_idx, v_idx = order[u], order[v]
+        source_u, source_v = closest[u_idx], closest[v_idx]
+        if source_u < 0 or source_v < 0 or source_u == source_v:
+            continue
+        if u_idx > v_idx:
+            u_idx, v_idx = v_idx, u_idx
+        key = (
+            (source_u, source_v) if source_u < source_v else (source_v, source_u)
+        )
+        entry = (distances[u_idx] + weight + distances[v_idx], u_idx, v_idx)
+        best = candidates.get(key)
+        if best is None or entry < best:
+            candidates[key] = entry
+
+    tree_nodes, tree_edges = steiner_tree_from_voronoi(
+        terminal_indices,
+        candidates,
+        parents.__getitem__,
+        lambda a, b: graph.weight(node_of[a], node_of[b]),
+    )
+
+    result = WeightedGraph()
+    for index in tree_nodes:
+        result.add_node(node_of[index])
+    for a, b in tree_edges:
+        result.add_edge(node_of[a], node_of[b], graph.weight(node_of[a], node_of[b]))
+    return result
+
+
+def dijkstra_distances_canonical(
+    graph: WeightedGraph,
+    sources: Iterable[Node],
+    order: dict[Node, int],
+    node_of: list[Node],
+) -> list[float]:
+    """Multi-source heap Dijkstra distances, in index space.
+
+    Distances carry no tie ambiguity — the float min-plus fixpoint is
+    unique for non-negative weights — so this returns the exact same
+    values as scipy's C Dijkstra or any other correct implementation.
+    """
+    n = len(node_of)
+    inf = math.inf
+    dist = [inf] * n
+    best = [inf] * n
+    settled = bytearray(n)
+    heap: list[tuple[float, int]] = []
+    for source in dict.fromkeys(sources):
+        source_idx = order[source]
+        best[source_idx] = 0.0
+        heap.append((0.0, source_idx))
+    heapq.heapify(heap)
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        d, u_idx = pop(heap)
+        if settled[u_idx]:
+            continue
+        settled[u_idx] = 1
+        dist[u_idx] = d
+        for v, weight in graph.neighbors(node_of[u_idx]).items():
+            v_idx = order[v]
+            if settled[v_idx]:
+                continue
+            candidate = d + weight
+            if candidate < best[v_idx]:
+                best[v_idx] = candidate
+                push(heap, (candidate, v_idx))
+    return dist
+
+
+def canonical_forest_from_distances(
+    graph: WeightedGraph,
+    dist: list[float],
+    order: dict[Node, int],
+    node_of: list[Node],
+    terminal_indices: list[int],
+) -> tuple[list[int], list[int]]:
+    """The canonical Voronoi forest as a pure function of exact distances.
+
+    Requires strictly positive weights.  ``parent[v]`` is the *tight*
+    inbound neighbor — ``dist[u] + w(u, v) == dist[v]``, bit-exact —
+    minimizing ``(dist[u], u)``; ``closest[v]`` is the root of the
+    resulting forest (always a source: positive weights force
+    ``dist[parent] < dist[child]``, so chains terminate at distance 0).
+    This is the edge-by-edge twin of the CSR kernel's vectorized
+    ``_voronoi_from_distances``.
+    """
+    n = len(node_of)
+    inf = math.inf
+    parent = [-1] * n
+    for v_idx in range(n):
+        dv = dist[v_idx]
+        if dv == inf:
+            continue
+        best_dist = inf
+        best_parent = -1
+        for u, weight in graph.neighbors(node_of[v_idx]).items():
+            u_idx = order[u]
+            du = dist[u_idx]
+            if du == inf:
+                continue
+            if du + weight == dv and (
+                du < best_dist or (du == best_dist and u_idx < best_parent)
+            ):
+                best_dist = du
+                best_parent = u_idx
+        parent[v_idx] = best_parent
+    closest = [-1] * n
+    for terminal_idx in terminal_indices:
+        parent[terminal_idx] = -1
+        closest[terminal_idx] = terminal_idx
+    for start in range(n):
+        if closest[start] != -1 or dist[start] == inf:
+            continue
+        path = [start]
+        node = parent[start]
+        while node != -1 and closest[node] == -1:
+            path.append(node)
+            node = parent[node]
+        root = closest[node] if node != -1 else -1
+        for member in path:
+            closest[member] = root
+    return parent, closest
 
 
 class DictOracleEngine:
@@ -95,9 +274,7 @@ class DictOracleEngine:
                 reweighted.add_node(node)
             for u, v, gap in arcs:
                 reweighted.add_edge(u, v, lam + gap / lam)
-            tree = mehlhorn_steiner_tree(
-                reweighted, terminals, assume_positive_weights=True
-            )
+            tree = mehlhorn_steiner_tree(reweighted, terminals)
             if adjust:
                 adjusted = adjust_distances(
                     self.graph,

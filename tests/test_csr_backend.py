@@ -15,26 +15,21 @@ import tracemalloc
 import pytest
 
 from helpers import random_connected_graph, random_weighted_graph
-from oracle import oracle_solve
-from repro.core.fastpath import CSRWienerSteinerEngine, _voronoi_phase, mehlhorn_steiner_csr
-from repro.core.service import ConnectorService
-from repro.core.steiner import (
+from oracle import (
     canonical_forest_from_distances,
     dijkstra_distances_canonical,
     mehlhorn_steiner_tree,
-    tree_total_weight,
-    voronoi_dijkstra_canonical,
+    oracle_solve,
 )
+from repro.core.fastpath import CSRWienerSteinerEngine, _voronoi_phase, mehlhorn_steiner_csr
+from repro.core.service import ConnectorService
+from repro.core.steiner import steiner_tree_unweighted
 from repro.core.wiener_steiner import wiener_steiner
+from repro.datasets.steinlib import puc_suite, vienna_suite
 from repro.graphs.csr import CSRGraph, order_map
 from repro.graphs.generators import connectify, erdos_renyi
 from repro.graphs.graph import Graph, WeightedGraph
-from repro.graphs.traversal import (
-    bfs_distances,
-    bfs_tree_canonical,
-    dijkstra,
-    multi_source_bfs,
-)
+from repro.graphs.traversal import bfs_distances, bfs_tree_canonical, multi_source_bfs
 from repro.graphs.wiener import rooted_distance_sum, wiener_index
 
 
@@ -121,23 +116,6 @@ class TestTraversalEquivalence:
         assert csr.wiener_index() == math.inf
 
 
-class TestDijkstraInlineParents:
-    """Satellite: dijkstra tracks parents in the heap loop, no second pass."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_parents_form_shortest_path_tree(self, seed):
-        g = random_weighted_graph(25, 90, seed + 9700)
-        source = next(iter(g.nodes()))
-        distances, parents = dijkstra(g, source)
-        assert source not in parents
-        for node, parent in parents.items():
-            assert distances[parent] + g.weight(parent, node) == pytest.approx(
-                distances[node]
-            )
-        # every settled node except the source has a parent
-        assert set(parents) == set(distances) - {source}
-
-
 def _host_with_unreachable_parts(seed: int) -> tuple[WeightedGraph, list]:
     """A weighted host plus a component no source reaches and isolated
     nodes, labels shuffled so the unreachable rows interleave the reached
@@ -170,6 +148,24 @@ def _engine_shaped_host(graph: Graph, root, lam: float) -> WeightedGraph:
     return host
 
 
+def _relabeled_and_shuffled(graph: Graph, rng: random.Random) -> Graph:
+    """``graph`` with string labels, nodes and edges inserted in shuffled
+    order and edge endpoints randomly swapped."""
+    label = {v: f"n{rng.randrange(10**6)}-{v}" for v in graph.nodes()}
+    nodes = list(graph.nodes())
+    edges = list(graph.edges())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    out = Graph()
+    for v in nodes:
+        out.add_node(label[v])
+    for u, v in edges:
+        if rng.random() < 0.5:
+            u, v = v, u
+        out.add_edge(label[u], label[v])
+    return out
+
+
 def _assert_forest_identical(wg: WeightedGraph, sources) -> None:
     """CSR phase 1 (scipy distances + canonical forest) reproduces the
     dict twin's distances and canonical forest exactly."""
@@ -177,8 +173,6 @@ def _assert_forest_identical(wg: WeightedGraph, sources) -> None:
     node_of = list(wg.nodes())
     terminal_indices = sorted(order[s] for s in sources)
     dist = dijkstra_distances_canonical(wg, sources, order, node_of)
-    # The settle-order heap agrees with the distance-only Dijkstra.
-    assert voronoi_dijkstra_canonical(wg, sources, order, node_of)[0] == dist
     parent, closest = canonical_forest_from_distances(
         wg, dist, order, node_of, terminal_indices
     )
@@ -248,7 +242,29 @@ class TestSteinerEquivalence:
         total = sum(
             weights[csr.arc_weight_position(a, b)] for a, b in edges
         )
-        assert total == tree_total_weight(tree)
+        assert total == tree.total_weight()
+
+    def test_st_matches_oracle(self):
+        """``st`` (the CSR kernel on unit weights) returns the oracle's
+        dict Mehlhorn tree with nodes and edges in the same order, since
+        AdjustDistances walks these trees in that order."""
+        corpus = []
+        for seed in range(12):
+            rng = random.Random(seed + 10500)
+            n = rng.randint(5, 70)
+            g = connectify(erdos_renyi(n, rng.uniform(0.04, 0.3), rng=rng), rng=rng)
+            corpus.append((g, rng.sample(sorted(g.nodes()), min(rng.randint(1, 8), n))))
+            relabeled = _relabeled_and_shuffled(g, rng)
+            terminals = rng.sample(sorted(relabeled.nodes()), min(rng.randint(1, 8), n))
+            corpus.append((relabeled, terminals))
+        corpus += [instance.unweighted() for instance in puc_suite(4) + vienna_suite(4)]
+        for graph, terminals in corpus:
+            ours = steiner_tree_unweighted(graph, terminals)
+            reference = mehlhorn_steiner_tree(
+                WeightedGraph.from_graph(graph), terminals
+            ).unweighted()
+            assert list(ours.nodes()) == list(reference.nodes())
+            assert list(ours.edges()) == list(reference.edges())
 
 
 class TestBackendEquality:

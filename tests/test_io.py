@@ -114,6 +114,23 @@ class TestStp:
         with pytest.raises(ParseError):
             read_stp(path)
 
+    @pytest.mark.parametrize(
+        "text, line_number",
+        [
+            ("SECTION Graph\nNodes abc\nEND\nEOF\n", 2),
+            ("SECTION Graph\nNodes\nEND\nEOF\n", 2),
+            ("SECTION Graph\nNodes 2\nE 1 2 -1\nEND\nEOF\n", 3),
+            ("SECTION Graph\nNodes 2\nEND\nSECTION Terminals\nT x\nEND\nEOF\n", 5),
+        ],
+        ids=["nodes-not-int", "nodes-no-count", "negative-weight", "terminal-not-int"],
+    )
+    def test_bad_number_raises_parse_error(self, tmp_path, text, line_number):
+        path = tmp_path / "bad.stp"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            read_stp(path)
+        assert excinfo.value.line_number == line_number
+
     def test_unknown_graph_line(self, tmp_path):
         path = tmp_path / "bad.stp"
         path.write_text("SECTION Graph\nFROBNICATE 1\nEND\nEOF\n")

@@ -1,26 +1,36 @@
-"""Tests for Mehlhorn's Steiner approximation and tree utilities."""
+"""Tests for Mehlhorn's Steiner approximation: the CSR kernel and ``st``."""
 
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from helpers import random_connected_graph
+from repro.core.fastpath import mehlhorn_steiner_csr
+from repro.core.steiner import steiner_tree_unweighted
 from repro.errors import DisconnectedGraphError, InvalidQueryError
-from repro.graphs.graph import Graph, WeightedGraph
 from repro.graphs.components import is_tree
-from repro.core.steiner import (
-    mehlhorn_steiner_tree,
-    minimum_spanning_tree,
-    prune_steiner_leaves,
-    steiner_tree_unweighted,
-    tree_total_weight,
-)
+from repro.graphs.csr import CSRGraph
+from repro.graphs.graph import Graph, WeightedGraph
 
 
 def tree_is_valid(tree: WeightedGraph, terminals) -> bool:
     plain = tree.unweighted()
     return is_tree(plain) and set(terminals) <= set(plain.nodes())
+
+
+def kernel_tree(graph: WeightedGraph, terminals) -> WeightedGraph:
+    """``mehlhorn_steiner_csr`` on ``graph``, relabeled to its node labels."""
+    csr, weights = CSRGraph.from_weighted_graph(graph)
+    nodes, edges = mehlhorn_steiner_csr(csr, weights, csr.indices_for(terminals))
+    tree = WeightedGraph()
+    for index in nodes:
+        tree.add_node(csr.node_of[index])
+    for a, b in edges:
+        weight = float(weights[csr.arc_weight_position(a, b)])
+        tree.add_edge(csr.node_of[a], csr.node_of[b], weight)
+    return tree
 
 
 def optimal_steiner_cost(graph: WeightedGraph, terminals: set) -> float:
@@ -30,55 +40,54 @@ def optimal_steiner_cost(graph: WeightedGraph, terminals: set) -> float:
     for size in range(len(nodes) + 1):
         for extra in itertools.combinations(nodes, size):
             selected = set(terminals) | set(extra)
-            sub = WeightedGraph()
-            for node in selected:
-                sub.add_node(node)
+            sub = nx.Graph()
+            sub.add_nodes_from(selected)
             for u, v, w in graph.edges():
                 if u in selected and v in selected:
-                    sub.add_edge(u, v, w)
-            mst = minimum_spanning_tree(sub)
-            if mst.num_edges == len(selected) - 1:  # spanning => connected
-                best = min(best, tree_total_weight(mst))
+                    sub.add_edge(u, v, weight=w)
+            mst = nx.minimum_spanning_tree(sub)
+            if mst.number_of_edges() == len(selected) - 1:  # spanning => connected
+                best = min(best, mst.size(weight="weight"))
     return best
 
 
 class TestMehlhorn:
     def test_two_terminals_is_shortest_path(self):
         g = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
-        tree = mehlhorn_steiner_tree(g, [0, 2])
+        tree = kernel_tree(g, [0, 2])
         assert tree_is_valid(tree, [0, 2])
-        assert tree_total_weight(tree) == 2.0
+        assert tree.total_weight() == 2.0
 
     def test_single_terminal(self):
         g = WeightedGraph([(0, 1, 1.0)])
-        tree = mehlhorn_steiner_tree(g, [0])
+        tree = kernel_tree(g, [0])
         assert tree.num_nodes == 1
         assert tree.num_edges == 0
 
     def test_terminals_deduplicated(self):
         g = WeightedGraph([(0, 1, 1.0)])
-        tree = mehlhorn_steiner_tree(g, [0, 0, 1])
+        tree = kernel_tree(g, [0, 0, 1])
         assert tree_is_valid(tree, [0, 1])
 
     def test_empty_terminals_raises(self):
         with pytest.raises(InvalidQueryError):
-            mehlhorn_steiner_tree(WeightedGraph([(0, 1, 1.0)]), [])
+            steiner_tree_unweighted(Graph([(0, 1)]), [])
 
     def test_unknown_terminal_raises(self):
         with pytest.raises(InvalidQueryError):
-            mehlhorn_steiner_tree(WeightedGraph([(0, 1, 1.0)]), [9])
+            steiner_tree_unweighted(Graph([(0, 1)]), [9])
 
     def test_disconnected_terminals_raise(self):
         g = WeightedGraph([(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError):
-            mehlhorn_steiner_tree(g, [0, 3])
+            kernel_tree(g, [0, 3])
 
     def test_uses_steiner_vertex(self):
         # A star whose hub is the only way to join three leaves.
         g = WeightedGraph([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-        tree = mehlhorn_steiner_tree(g, [1, 2, 3])
+        tree = kernel_tree(g, [1, 2, 3])
         assert 0 in set(tree.nodes())
-        assert tree_total_weight(tree) == 3.0
+        assert tree.total_weight() == 3.0
 
     def test_no_redundant_leaves(self):
         for seed in range(5):
@@ -103,16 +112,15 @@ class TestMehlhorn:
             pytest.skip("degenerate sample")
         terminals = set(rng.sample(nodes, 4))
         try:
-            tree = mehlhorn_steiner_tree(g, terminals)
+            tree = kernel_tree(g, terminals)
         except DisconnectedGraphError:
             pytest.skip("disconnected sample")
         assert tree_is_valid(tree, terminals)
         optimum = optimal_steiner_cost(g, terminals)
-        assert tree_total_weight(tree) <= 2 * optimum + 1e-9
+        assert tree.total_weight() <= 2 * optimum + 1e-9
 
     def test_matches_networkx_quality(self):
         """Within 2x of networkx's steiner_tree on random instances."""
-        import networkx as nx
         from networkx.algorithms.approximation import steiner_tree as nx_steiner
 
         for seed in range(3):
@@ -124,45 +132,3 @@ class TestMehlhorn:
             oracle.add_edges_from(g.edges())
             theirs = nx_steiner(oracle, terminals)
             assert ours.num_edges <= 2 * max(theirs.number_of_edges(), 1)
-
-
-class TestMST:
-    def test_known_mst(self):
-        g = WeightedGraph(
-            [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 4.0), (2, 3, 1.0)]
-        )
-        mst = minimum_spanning_tree(g)
-        assert tree_total_weight(mst) == 4.0
-        assert mst.num_edges == 3
-
-    def test_matches_networkx(self):
-        import networkx as nx
-
-        rng = random.Random(31)
-        g = WeightedGraph()
-        for _ in range(60):
-            u, v = rng.sample(range(20), 2)
-            g.add_edge(u, v, rng.uniform(0.5, 9.5))
-        oracle = nx.Graph()
-        for u, v, w in g.edges():
-            oracle.add_edge(u, v, weight=w)
-        ours = tree_total_weight(minimum_spanning_tree(g))
-        theirs = nx.minimum_spanning_tree(oracle).size(weight="weight")
-        assert ours == pytest.approx(theirs)
-
-
-class TestPruneLeaves:
-    def test_prunes_chain(self):
-        tree = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        pruned = prune_steiner_leaves(tree, [0, 1])
-        assert set(pruned.nodes()) == {0, 1}
-
-    def test_keeps_internal_steiner_vertices(self):
-        tree = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0)])
-        pruned = prune_steiner_leaves(tree, [0, 2])
-        assert set(pruned.nodes()) == {0, 1, 2}
-
-    def test_no_terminals_removed(self):
-        tree = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        pruned = prune_steiner_leaves(tree, [0, 3])
-        assert set(pruned.nodes()) == {0, 1, 2, 3}

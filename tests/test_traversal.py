@@ -1,18 +1,16 @@
-"""Tests for BFS/Dijkstra traversals, cross-checked against networkx."""
+"""Tests for the BFS traversals, cross-checked against networkx."""
 
 import pytest
 
 from helpers import random_connected_graph, to_networkx
 from repro.errors import NodeNotFoundError
-from repro.graphs.graph import Graph, WeightedGraph
+from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     bfs_distances,
     bfs_limited,
     bfs_tree,
-    dijkstra,
     eccentricity,
     multi_source_bfs,
-    multi_source_dijkstra,
     shortest_path,
 )
 
@@ -88,61 +86,6 @@ class TestShortestPath:
             assert len(path) - 1 == bfs_distances(g, nodes[0])[nodes[-1]]
             for u, v in zip(path, path[1:]):
                 assert g.has_edge(u, v)
-
-
-class TestDijkstra:
-    def test_weighted_path(self):
-        g = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
-        distances, parents = dijkstra(g, 0)
-        assert distances == {0: 0.0, 1: 1.0, 2: 2.0}
-        assert parents[2] == 1
-
-    def test_prefers_direct_when_cheaper(self):
-        g = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.5)])
-        distances, _ = dijkstra(g, 0)
-        assert distances[2] == 1.5
-
-    def test_matches_networkx(self):
-        import networkx as nx
-        import random
-
-        rng = random.Random(7)
-        g = WeightedGraph()
-        for _ in range(120):
-            u, v = rng.sample(range(30), 2)
-            g.add_edge(u, v, rng.uniform(0.1, 5.0))
-        oracle = nx.Graph()
-        for u, v, w in g.edges():
-            oracle.add_edge(u, v, weight=w)
-        source = next(iter(g.nodes()))
-        expected = nx.single_source_dijkstra_path_length(oracle, source)
-        actual, _ = dijkstra(g, source)
-        assert set(actual) == set(expected)
-        for node in expected:
-            assert actual[node] == pytest.approx(expected[node])
-
-    def test_mixed_node_types_no_comparison_error(self):
-        g = WeightedGraph([(0, "a", 1.0), ("a", 1, 1.0), (0, 1, 5.0)])
-        distances, _ = dijkstra(g, 0)
-        assert distances[1] == 2.0
-
-
-class TestMultiSourceDijkstra:
-    def test_closest_assignment(self):
-        g = WeightedGraph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-        distances, parents, closest = multi_source_dijkstra(g, [0, 4])
-        assert closest[1] == 0
-        assert closest[3] == 4
-        assert distances[2] == 2.0
-        # Parent chains lead back to the assigned source.
-        node = 1
-        while node in parents:
-            node = parents[node]
-        assert node == 0
-
-    def test_missing_source_raises(self):
-        with pytest.raises(NodeNotFoundError):
-            multi_source_dijkstra(WeightedGraph([(0, 1, 1.0)]), [9])
 
 
 class TestEccentricity:
