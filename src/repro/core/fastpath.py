@@ -22,12 +22,13 @@ whole sweep and replaces each inner loop with array operations:
 
 Tie-breaking everywhere is by the relabeled integer index — the canonical
 order of :func:`repro.graphs.csr.order_map`.  Phases 2–3 of Mehlhorn
-(:func:`steiner_tree_from_voronoi`) live here too, so this module holds
-the library's only Steiner kernel: the ``st`` baseline
+(:func:`steiner_tree_from_voronoi`, which returns the bridge-path union
+without re-spanning or stripping leaves) live here too, so this module
+holds the library's only Steiner kernel: the ``st`` baseline
 (:func:`repro.core.steiner.steiner_tree_unweighted`) runs it with unit
-weights.  The test suite's dict oracle (``tests/oracle.py``) rebuilds
-phase 1 independently and feeds the same phases 2–3, so the engine must
-return its connectors bit for bit.
+weights.  The test suite's dict oracle (``tests/oracle.py``) runs classic
+Mehlhorn independently, all three phases, so the engine must return its
+connectors bit for bit.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def mehlhorn_steiner_csr(
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """Mehlhorn's 2-approximation consuming ``(indptr, indices, weights)``.
 
-    Returns ``(nodes, edges)`` of the pruned Steiner tree in index space:
+    Returns ``(nodes, edges)`` of the Steiner tree in index space:
     sorted nodes and sorted ``(lo, hi)`` edges — identical to what the
     test suite's dict oracle (``tests/oracle.py``) returns, after
     relabeling, on the equivalent ``WeightedGraph``.
@@ -209,28 +210,28 @@ def mehlhorn_steiner_csr(
     dist, parent, closest = _voronoi_phase(csr, weights, terminals, matrix)
     terminals_arr = np.asarray(terminals, dtype=np.int64)
     candidates = _crossing_candidates(csr, weights, dist, closest, terminals_arr)
-    return steiner_tree_from_voronoi(
-        terminals,
-        candidates,
-        lambda v: int(parent[v]),
-        lambda a, b: float(weights[csr.arc_weight_position(a, b)]),
-    )
+    return steiner_tree_from_voronoi(terminals, candidates, lambda v: int(parent[v]))
 
 
 def steiner_tree_from_voronoi(
     terminal_indices: list[int],
     candidates: dict[tuple[int, int], tuple[float, int, int]],
     parent_of: Callable[[int], int],
-    weight_of: Callable[[int, int], float],
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """Phases 2–3 of Mehlhorn: distance-network MST, expansion, leaf pruning.
-
-    Shared by :func:`mehlhorn_steiner_csr` and the test suite's dict
-    oracle, which builds phase 1 independently.
+    """Phases 2–3 of Mehlhorn: distance-network MST and bridge-path expansion.
 
     Everything happens in relabeled-index space and every ordering is
     canonical, so the output depends only on the (deterministic) Voronoi
     phase, never on hash iteration order.
+
+    The union of the MST's bridges and their forest paths is already the
+    Steiner tree, so classic Mehlhorn's re-spanning MST and non-terminal
+    leaf strip are skipped: each path climbs the canonical Voronoi forest
+    to its cell's terminal, so the paths form one subtree per cell; the
+    ``t − 1`` bridges join the cells as a tree; and every non-terminal on
+    a path keeps its parent edge plus a child or bridge edge, so no leaf is
+    a non-terminal.  The test suite's dict oracle (``tests/oracle.py``)
+    still runs the classic steps, so the bit-identity fuzz checks this.
 
     Parameters
     ----------
@@ -241,14 +242,12 @@ def steiner_tree_from_voronoi(
         max endpoint idx)`` — the best crossing edge per terminal pair.
     parent_of:
         Voronoi shortest-path forest accessor (``-1`` for roots).
-    weight_of:
-        Edge weight accessor in index space.
 
     Returns
     -------
     (nodes, edges)
         Sorted node indices and canonically sorted edge index pairs of the
-        pruned Steiner tree.
+        Steiner tree.
 
     Raises
     ------
@@ -282,44 +281,7 @@ def steiner_tree_from_voronoi(
                 )
                 union_nodes.add(parent)
                 node = parent
-
-    # Re-span the union (Kruskal, canonical ordering) ...
-    mst_order = sorted(union_edges, key=lambda e: (weight_of(*e), e))
-    spanning = UnionFind(sorted(union_nodes))
-    adjacency: dict[int, list[int]] = {idx: [] for idx in sorted(union_nodes)}
-    mst_edges: list[tuple[int, int]] = []
-    for a, b in mst_order:
-        if spanning.union(a, b):
-            mst_edges.append((a, b))
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-
-    # ... and strip non-terminal leaves (the fixpoint is order-independent).
-    terminal_set = set(terminal_indices)
-    degree = {idx: len(neighbors) for idx, neighbors in adjacency.items()}
-    removable = [
-        idx for idx in adjacency if degree[idx] <= 1 and idx not in terminal_set
-    ]
-    removed: set[int] = set()
-    while removable:
-        idx = removable.pop()
-        if idx in removed or degree[idx] > 1:
-            continue
-        removed.add(idx)
-        for neighbor in adjacency[idx]:
-            if neighbor in removed:
-                continue
-            degree[neighbor] -= 1
-            if degree[neighbor] <= 1 and neighbor not in terminal_set:
-                removable.append(neighbor)
-
-    nodes = sorted(union_nodes - removed)
-    edges = sorted(
-        (a, b)
-        for a, b in mst_edges
-        if a not in removed and b not in removed
-    )
-    return nodes, edges
+    return sorted(union_nodes), sorted(union_edges)
 
 
 class _IntArrayMapping:
@@ -502,12 +464,7 @@ class CSRWienerSteinerEngine:
         index_of = self.csr.index_of
         return [q for q in query_set if dist[index_of[q]] < 0]
 
-    # -- lines 7-11: one (root, λ) candidate --------------------------
-    def candidate(
-        self, root: Node, lam: float, query_set, adjust: bool
-    ) -> frozenset[Node]:
-        return self.candidates_for_root(root, [lam], query_set, adjust)[0]
-
+    # -- lines 7-11: one root's candidates across the λ grid -----------
     def candidates_for_root(
         self, root: Node, lams, query_set, adjust: bool
     ) -> list[frozenset[Node]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 from collections.abc import Iterable
 from typing import Protocol, runtime_checkable
 
@@ -50,6 +51,20 @@ def stable_repr(value) -> str:
 
 #: Valid candidate-scoring policies (see :data:`SolveOptions.selection`).
 SELECTIONS = ("a", "wiener", "auto", "sampled")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-real raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,13 +121,22 @@ class SolveOptions:
 
     def __post_init__(self) -> None:
         # Normalize iterable fields to tuples so the options value is
-        # hashable (it is used directly as a cache key).
+        # hashable (it is used directly as a cache key), and numbers to
+        # plain float/int so options that compare equal also digest equal
+        # (``stable_repr`` spells a bool or a numpy scalar differently).
         if self.roots is not None and not isinstance(self.roots, tuple):
             object.__setattr__(self, "roots", tuple(self.roots))
-        if self.lambda_values is not None and not isinstance(
-            self.lambda_values, tuple
-        ):
-            object.__setattr__(self, "lambda_values", tuple(self.lambda_values))
+        object.__setattr__(self, "beta", _real("beta", self.beta))
+        if self.lambda_values is not None:
+            object.__setattr__(
+                self,
+                "lambda_values",
+                tuple(_real("lambda value", lam) for lam in self.lambda_values),
+            )
+        for name in ("exact_threshold", "sample_sources", "sample_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not isinstance(self.adjust, bool):
+            raise ValueError(f"adjust must be a bool, got {self.adjust!r}")
         if not self.method or not isinstance(self.method, str):
             raise ValueError(f"method must be a non-empty string, got {self.method!r}")
         if not self.beta > 0:  # NaN fails too

@@ -65,7 +65,7 @@ from repro.core.versioned import (
     csr_has_edge,
     index_digest_of,
 )
-from repro.core.wiener_steiner import _lambda_grid, _score
+from repro.core.wiener_steiner import _lambda_grid
 from repro.errors import (
     DeltaError,
     DisconnectedGraphError,
@@ -436,10 +436,15 @@ class ConnectorService:
     ) -> float:
         """Score per the selection policy, caching root-independent kinds.
 
-        Exact and sampled scores depend only on the candidate set (the
-        sampled estimator is deterministically seeded), so they are cached
-        across roots, λ values, *and* queries; the proxy ``A(H, r)`` is
-        root-dependent and cheap, so it is computed directly.
+        The one place the policy is decided (line 15 / Remark 1): ``"a"``
+        always uses the proxy ``A(H, r)``; ``"wiener"`` always scores
+        exactly; ``"auto"`` scores exactly up to ``exact_threshold``
+        vertices and by the proxy beyond; ``"sampled"`` replaces that proxy
+        tail with the Remark-1 sampled Wiener estimator.  Exact and sampled
+        scores depend only on the candidate set (the sampled estimator is
+        deterministically seeded), so they are cached across roots, λ
+        values, *and* queries; the proxy is root-dependent and cheap, so it
+        is computed directly.
         """
         selection = options.selection
         use_exact = selection == "wiener" or (
@@ -457,15 +462,12 @@ class ConnectorService:
         cached = self._scores.get(score_key)
         if cached is not None:
             return cached
-        value = _score(
-            engine,
-            nodes,
-            root,
-            selection,
-            exact_threshold=options.exact_threshold,
-            sample_sources=options.sample_sources,
-            sample_seed=options.sample_seed,
-        )
+        if use_exact:
+            value = engine.score_exact(nodes)
+        else:
+            value = engine.score_sampled(
+                nodes, options.sample_sources, options.sample_seed
+            )
         self._scores.put(score_key, value)
         return value
 

@@ -11,8 +11,10 @@ in three steps:
    ``d(s_u, u) + w(u, v) + d(v, s_v)``;
 2. a minimum spanning tree of the induced "distance network" on terminals
    is computed (Kruskal on the candidate edges);
-3. every MST edge is expanded back into an actual path of ``G``, the union
-   is re-spanned, and non-terminal leaves are pruned.
+3. every MST edge is expanded back into an actual path of ``G``.  Classic
+   Mehlhorn re-spans the union and prunes non-terminal leaves; with the
+   canonical Voronoi forest the union is already a tree whose leaves are
+   all terminals, so the kernel returns it as is.
 
 The result is a tree spanning the terminals with total weight at most twice
 the optimum.
@@ -24,7 +26,7 @@ The library has one implementation of all three steps,
 :func:`repro.core.fastpath.mehlhorn_steiner_csr`, which ws-q runs on every
 ``G_{r,λ}``.  :func:`steiner_tree_unweighted` packs the host graph to CSR
 and runs that kernel with unit weights.  Every tie (which source claims a
-node, which crossing edge represents a terminal pair, the Kruskal orders)
+node, which crossing edge represents a terminal pair, the Kruskal order)
 is broken by the node's position in :func:`repro.graphs.csr.order_map`, so
 the tree is a deterministic function of the graph's insertion order.
 """

@@ -28,7 +28,7 @@ Steiner solving and scoring all run on numpy/scipy arrays.  Every tie is
 broken by the canonical relabeled index (see
 :func:`repro.graphs.csr.order_map`).
 
-This module is the *reference layer*: the λ grid, the scoring policy, and
+This module is the *reference layer*: the λ grid and
 :func:`wiener_steiner`, the stable one-shot entry point — a throwaway
 service per call.  Code that solves two or more queries on one graph
 should hold a ``ConnectorService`` and call ``solve_many``.
@@ -103,8 +103,6 @@ def wiener_steiner(
     from repro.core.service import ConnectorService
     from repro.graphs.csr import CSRGraph
 
-    if selection not in ("a", "wiener", "auto", "sampled"):
-        raise ValueError(f"unknown selection policy {selection!r}")
     options = SolveOptions(
         beta=beta,
         roots=tuple(roots) if roots is not None else None,
@@ -140,33 +138,3 @@ def _lambda_grid(num_nodes: int, beta: float) -> list[float]:
         value *= 1 + beta
     grid.append(high)
     return grid
-
-
-def _score(
-    engine,
-    nodes: frozenset[Node],
-    root: Node,
-    selection: str,
-    exact_threshold: int = EXACT_SCORING_THRESHOLD,
-    sample_sources: int = 64,
-    sample_seed: int = 0,
-) -> float:
-    """Score a candidate per the selection policy (line 15 / Remark 1).
-
-    ``"a"`` always uses the proxy ``A(H, r)``; ``"wiener"`` always scores
-    exactly; ``"auto"`` scores exactly up to ``exact_threshold`` vertices
-    and by the proxy beyond; ``"sampled"`` replaces that proxy tail with
-    the Remark-1 sampled Wiener estimator (``sample_sources`` BFS sources,
-    deterministically seeded).  Exact and sampled sums are integers, so
-    scores are bit-stable for a given candidate set.
-    """
-    if selection not in ("a", "wiener", "auto", "sampled"):
-        raise ValueError(f"unknown selection policy {selection!r}")
-    use_exact = selection == "wiener" or (
-        selection in ("auto", "sampled") and len(nodes) <= exact_threshold
-    )
-    if use_exact:
-        return engine.score_exact(nodes)
-    if selection == "sampled":
-        return engine.score_sampled(nodes, sample_sources, sample_seed)
-    return engine.score_proxy(nodes, root)

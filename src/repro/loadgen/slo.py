@@ -3,9 +3,10 @@
 An :class:`SLO` names the bounds a replay must stay inside — latency
 percentiles, shed/error rates, a throughput floor — and
 :meth:`SLO.evaluate` turns a :class:`~repro.loadgen.replay.ReplayReport`
-into a per-bound verdict.  The scale benchmark and the ``scale-smoke``
-CI job gate on :attr:`SLOReport.ok`, so a regression that slows the
-tower or starts shedding shows up as a red build, not a slow feeling.
+into a per-bound verdict.  The benchmark scenarios express every gate
+as an :class:`SLOCheck` and CI fails on any violation, so a regression
+that slows the tower or starts shedding shows up as a red build, not a
+slow feeling.
 
 Envelopes live in JSON files (``repro replay --slo envelope.json``) so a
 deployment can version its latency budget next to its code::

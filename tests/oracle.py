@@ -8,12 +8,14 @@ instance, dict/deque BFS, heap Dijkstra — with every tie broken through
 the canonical node order map, so it must return the *same* connectors as
 the CSR engine, bit for bit.
 
-:func:`mehlhorn_steiner_tree` is the oracle's Mehlhorn: its own phase 1
-(:func:`dijkstra_distances_canonical`, then
+:func:`mehlhorn_steiner_tree` is the oracle's Mehlhorn, classic and
+all its own: phase 1 (:func:`dijkstra_distances_canonical`, then
 :func:`canonical_forest_from_distances` and a dict crossing-edge scan)
-feeding the kernel's phases 2–3, ``steiner_tree_from_voronoi``.  It is the
-reference the CSR kernel ``mehlhorn_steiner_csr`` and the ``st`` baseline
-are compared against.
+and phases 2–3 (:func:`classic_tree_from_voronoi`: the distance-network
+MST, path expansion, the re-spanning MST and the non-terminal leaf
+strip).  It is the reference the CSR kernel ``mehlhorn_steiner_csr`` —
+which returns the bridge-path union and skips the last two steps — and
+the ``st`` baseline are compared against.
 
 The oracle speaks the CSR engine's interface (``apply_delta(delta,
 new_csr)`` included), so tests install it through the one attribute that
@@ -33,15 +35,15 @@ import random
 from collections.abc import Iterable
 
 from repro.core.adjust import adjust_distances
-from repro.core.fastpath import steiner_tree_from_voronoi
 from repro.core.lru import LRUCache
 from repro.core.options import SolveOptions
 from repro.core.service import ConnectorService
 from repro.core.wiener_steiner import EXACT_SCORING_THRESHOLD
-from repro.errors import InvalidQueryError
+from repro.errors import DisconnectedGraphError, InvalidQueryError
 from repro.graphs.csr import order_map
 from repro.graphs.graph import Graph, Node, WeightedGraph
 from repro.graphs.traversal import bfs_distances, bfs_tree_canonical
+from repro.graphs.unionfind import UnionFind
 from repro.graphs.wiener import rooted_distance_sum, wiener_index
 
 #: Parametrization ids of the engine-identity tests: ``"csr"`` is the
@@ -106,7 +108,7 @@ def mehlhorn_steiner_tree(
         if best is None or entry < best:
             candidates[key] = entry
 
-    tree_nodes, tree_edges = steiner_tree_from_voronoi(
+    tree_nodes, tree_edges = classic_tree_from_voronoi(
         terminal_indices,
         candidates,
         parents.__getitem__,
@@ -119,6 +121,86 @@ def mehlhorn_steiner_tree(
     for a, b in tree_edges:
         result.add_edge(node_of[a], node_of[b], graph.weight(node_of[a], node_of[b]))
     return result
+
+
+def classic_tree_from_voronoi(
+    terminal_indices: list[int],
+    candidates: dict[tuple[int, int], tuple[float, int, int]],
+    parent_of,
+    weight_of,
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Classic Mehlhorn phases 2–3 in index space, every ordering canonical.
+
+    The distance-network MST over the best crossing edge per terminal pair
+    (Kruskal by ``(length, pair)``), each bridge expanded into its two
+    forest paths back to the sources, a Kruskal re-span of that union by
+    ``(weight, edge)``, and a strip of non-terminal leaves.  Returns sorted
+    node indices and sorted ``(lo, hi)`` edges.
+    """
+    ordered = sorted(candidates.items(), key=lambda item: (item[1][0], item[0]))
+    forest = UnionFind(terminal_indices)
+    bridges: list[tuple[int, int]] = []
+    for (source_a, source_b), (_, u_idx, v_idx) in ordered:
+        if forest.union(source_a, source_b):
+            bridges.append((u_idx, v_idx))
+    if forest.num_sets > 1:
+        raise DisconnectedGraphError("terminals lie in different components")
+
+    union_nodes: set[int] = set(terminal_indices)
+    union_edges: set[tuple[int, int]] = set()
+    for u_idx, v_idx in bridges:
+        union_edges.add((u_idx, v_idx) if u_idx < v_idx else (v_idx, u_idx))
+        union_nodes.add(u_idx)
+        union_nodes.add(v_idx)
+        for endpoint in (u_idx, v_idx):
+            node = endpoint
+            while True:
+                parent = parent_of(node)
+                if parent < 0:
+                    break
+                union_edges.add(
+                    (node, parent) if node < parent else (parent, node)
+                )
+                union_nodes.add(parent)
+                node = parent
+
+    # Re-span the union (Kruskal, canonical ordering) ...
+    mst_order = sorted(union_edges, key=lambda e: (weight_of(*e), e))
+    spanning = UnionFind(sorted(union_nodes))
+    adjacency: dict[int, list[int]] = {idx: [] for idx in sorted(union_nodes)}
+    mst_edges: list[tuple[int, int]] = []
+    for a, b in mst_order:
+        if spanning.union(a, b):
+            mst_edges.append((a, b))
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+
+    # ... and strip non-terminal leaves (the fixpoint is order-independent).
+    terminal_set = set(terminal_indices)
+    degree = {idx: len(neighbors) for idx, neighbors in adjacency.items()}
+    removable = [
+        idx for idx in adjacency if degree[idx] <= 1 and idx not in terminal_set
+    ]
+    removed: set[int] = set()
+    while removable:
+        idx = removable.pop()
+        if idx in removed or degree[idx] > 1:
+            continue
+        removed.add(idx)
+        for neighbor in adjacency[idx]:
+            if neighbor in removed:
+                continue
+            degree[neighbor] -= 1
+            if degree[neighbor] <= 1 and neighbor not in terminal_set:
+                removable.append(neighbor)
+
+    nodes = sorted(union_nodes - removed)
+    edges = sorted(
+        (a, b)
+        for a, b in mst_edges
+        if a not in removed and b not in removed
+    )
+    return nodes, edges
 
 
 def dijkstra_distances_canonical(

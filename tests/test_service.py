@@ -13,6 +13,7 @@ uniformly.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -67,11 +68,25 @@ class TestSolveOptions:
             {"lambda_values": (1.0, -1.0)},
             {"lambda_values": (math.nan,)},
             {"lambda_values": (math.inf,)},
+            {"adjust": 1},
+            {"beta": True},
+            {"lambda_values": (True,)},
+            {"sample_seed": False},
+            {"beta": "1"},
+            {"exact_threshold": "600"},
+            {"sample_sources": 2.5},
         ],
     )
     def test_validates_eagerly(self, kwargs):
         with pytest.raises(ValueError):
             SolveOptions(**kwargs)
+
+    def test_numpy_int_digests_like_int(self):
+        """Equal options must digest equal: the ring and the gateway's
+        coalescer key on the digest, the caches on equality."""
+        options = SolveOptions(exact_threshold=np.int64(600))
+        assert options == SolveOptions()
+        assert options.stable_digest() == SolveOptions().stable_digest()
 
     def test_replace_revalidates(self):
         options = SolveOptions()
@@ -429,7 +444,8 @@ class TestBatchedServingBeatsOneShot:
         """The acceptance contract at test scale: a skewed request batch is
         served faster than independent ``wiener_steiner`` calls and returns
         bit-identical connectors.  (The full 10k/50k reference measurement
-        lives in ``benchmarks/bench_serving.py`` / ``BENCH_serving.json``.)
+        is the ``serving`` scenario of ``benchmarks/bench_scenarios.py``,
+        recorded in ``BENCH_serving.json``.)
 
         The margin asserted here is deliberately loose (just *faster*): the
         service does a deterministic fraction of the one-shot work — 4
