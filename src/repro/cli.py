@@ -429,13 +429,6 @@ def _make_batch_service(graph, options, shards, health: dict | None = None):
     return ShardedConnectorService(graph, options, shards=value, **kwargs)
 
 
-def _canonical_sort(values):
-    """Canonical label order (shared with the serving wire format)."""
-    from repro.serving.protocol import canonical_sort
-
-    return canonical_sort(values)
-
-
 def _read_batch(path: str) -> list[list[int]]:
     """Parse a batch file: JSON list-of-lists, one query per line, or a
     JSONL load trace (arrival offsets ignored; the queries run as one
@@ -474,6 +467,7 @@ def _run_query(args: argparse.Namespace) -> int:
     from repro.baselines import METHODS
     from repro.core.options import SolveOptions
     from repro.datasets import load_dataset
+    from repro.serving.protocol import canonical_sort
 
     if args.method not in METHODS:
         print(f"unknown method {args.method!r}; choose from {sorted(METHODS)}",
@@ -515,11 +509,11 @@ def _run_query(args: argparse.Namespace) -> int:
         return 2
 
     graph = load_dataset(args.dataset)
-    missing = _canonical_sort(
+    missing = canonical_sort(
         {v for query in queries for v in query if not graph.has_node(v)}
     )
     if missing:
-        known = _canonical_sort(graph.nodes())
+        known = canonical_sort(graph.nodes())
         print(
             f"vertices not in graph: {missing} (dataset {args.dataset!r} has "
             f"{len(known)} vertices: {known[0]!r} .. {known[-1]!r})",
@@ -560,9 +554,9 @@ def _run_query(args: argparse.Namespace) -> int:
 
     for query, result in zip(queries, results):
         if len(results) > 1:
-            print(f"query {_canonical_sort(set(query))}:")
+            print(f"query {canonical_sort(set(query))}:")
         print(result.summary())
-        print(f"added vertices: {_canonical_sort(result.added_nodes)}")
+        print(f"added vertices: {canonical_sort(result.added_nodes)}")
     if wants_footer:
         if not queries:
             # The empty-workload footer: no timing averages over nothing.

@@ -45,7 +45,7 @@ from repro.core.adjust import adjust_distances
 from repro.core.lru import LRUCache
 from repro.errors import DisconnectedGraphError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.graph import Graph, Node, WeightedGraph
+from repro.graphs.graph import Node, WeightedGraph
 from repro.graphs.unionfind import UnionFind
 
 __all__ = [
@@ -325,20 +325,15 @@ class CSRWienerSteinerEngine:
     arrays (the per-arc ``max(d_r[u], d_r[v])`` of the Lemma-4
     reweighting is gathered from ``dist`` per root batch, not cached), one
     reusable scipy matrix whose data buffer receives each λ's weights, and
-    the scoring kernels.  A one-shot ``wiener_steiner``
-    call builds a throwaway engine for its single λ×root sweep;
-    :class:`repro.core.service.ConnectorService` keeps one alive across
-    many queries so the CSR arrays and root BFS data amortize.
+    the scoring kernels.  It reads nothing but the CSR arrays: every
+    :class:`repro.core.service.ConnectorService` — graph-built, bare-CSR
+    or a shard replica — hands it the arrays its version index holds, and
+    keeps it alive across queries so the root BFS data amortizes.
 
     Parameters
     ----------
-    graph:
-        The host :class:`~repro.graphs.graph.Graph`; may be omitted when a
-        prebuilt ``csr`` is supplied (shard replicas do this — they
-        receive only the int arrays, never a pickled graph).
     csr:
-        A prebuilt :class:`~repro.graphs.csr.CSRGraph` to adopt instead of
-        packing ``graph`` again.
+        The :class:`~repro.graphs.csr.CSRGraph` to sweep.
     max_cached_roots:
         LRU bound on the per-root BFS cache (each entry holds two
         ``O(|V|)`` arrays); ``None`` (default) means unbounded — right for a
@@ -346,15 +341,9 @@ class CSRWienerSteinerEngine:
     """
 
     def __init__(
-        self,
-        graph: Graph | None = None,
-        csr: CSRGraph | None = None,
-        max_cached_roots: int | None = None,
+        self, csr: CSRGraph, max_cached_roots: int | None = None
     ) -> None:
-        if graph is None and csr is None:
-            raise ValueError("need a graph or a prebuilt CSRGraph")
-        self.graph = graph
-        self.csr = csr if csr is not None else CSRGraph.from_graph(graph)
+        self.csr = csr
         self._root_cache = LRUCache(max_cached_roots)
         self._matrix = None
 

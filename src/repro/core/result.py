@@ -22,7 +22,9 @@ class ConnectorResult:
     Attributes
     ----------
     host:
-        The input graph ``G``.
+        A graph whose induced subgraph on ``nodes`` is ``G[S]``: the input
+        graph ``G`` for the baselines, ``G[S]`` itself for ``ws-q``
+        results served from CSR arrays.
     nodes:
         The vertex set ``S`` of the solution (``Q ⊆ S``).
     query:
@@ -63,8 +65,15 @@ class ConnectorResult:
 
     @cached_property
     def subgraph(self) -> Graph:
-        """The induced subgraph ``G[S]``."""
-        return self.host.subgraph(self.nodes)
+        """The induced subgraph ``G[S]``.
+
+        A host whose vertex set is exactly ``S``, as the induced host of a
+        ``ws-q`` result, is its own induced subgraph and is returned as is.
+        """
+        host = self.host
+        if host.num_nodes == len(self.nodes) and all(map(host.has_node, self.nodes)):
+            return host
+        return host.subgraph(self.nodes)
 
     @cached_property
     def wiener_index(self) -> float:

@@ -6,8 +6,14 @@ this module the public API was one-shot — every ``wiener_steiner()`` call
 rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
 :class:`ConnectorService` is the layer that amortizes:
 
-* **one graph index** — the CSR arrays are built once and shared by every
-  query through one :class:`~repro.core.fastpath.CSRWienerSteinerEngine`;
+* **one graph index** — the CSR arrays are the only graph a service
+  holds: a :class:`~repro.graphs.graph.Graph` is packed once at
+  construction (or a prebuilt :class:`~repro.graphs.csr.CSRGraph`
+  adopted), deltas replay onto the arrays alone, and every query shares
+  them through one :class:`~repro.core.fastpath.CSRWienerSteinerEngine`.
+  Results are built on the connector's induced subgraph, and the
+  baseline methods run on :attr:`ConnectorService.graph`, a dict view
+  materialized from the arrays once per epoch;
 * **per-root BFS caches with LRU bounds** — Algorithm 1's line-1 BFS data
   (distances and canonical parents, two ``O(|V|)`` arrays; the Lemma-4
   per-arc ``max`` is re-gathered from the distances per root batch) is
@@ -22,9 +28,9 @@ rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
   *bit-identical* connectors;
 * **array-shipping replicas** — :meth:`ConnectorService.worker_payload`
   carries the two CSR int arrays (plus the label list), never a pickled
-  ``Graph``; :func:`service_from_payload` rebuilds a sweep-only replica
-  from them.  The persistent shard ring of :mod:`repro.core.sharded` is
-  the one way to run sweeps in parallel.
+  ``Graph``; :func:`service_from_payload` rebuilds a replica from them.
+  The persistent shard ring of :mod:`repro.core.sharded` is the one way
+  to run sweeps in parallel.
 
 Identity contract
 -----------------
@@ -59,12 +65,7 @@ from repro.core.fastpath import CSRWienerSteinerEngine
 from repro.core.lru import LRUCache
 from repro.core.options import SolveOptions
 from repro.core.result import ConnectorResult
-from repro.core.versioned import (
-    GraphDelta,
-    VersionedIndex,
-    csr_has_edge,
-    index_digest_of,
-)
+from repro.core.versioned import GraphDelta, VersionedIndex
 from repro.core.wiener_steiner import _lambda_grid
 from repro.errors import (
     DeltaError,
@@ -163,7 +164,7 @@ class SweepOutcome:
     """The picklable outcome of one λ×root sweep (label space).
 
     This is the unit the sharded serving layer ships between processes:
-    everything a graph-holding router needs to build a
+    everything a router needs to build a
     :class:`~repro.core.result.ConnectorResult`, and nothing it does not
     (no host graph, no subgraph).
     """
@@ -182,15 +183,17 @@ class ConnectorService:
     Parameters
     ----------
     graph:
-        The host graph.  May be ``None`` when a prebuilt ``csr`` is given
-        (shard replicas construct services this way); such a service
-        builds results with a small induced host instead of the graph.
+        The host graph, packed into CSR arrays once at construction; the
+        service keeps no reference to it, so mutating it afterwards
+        changes nothing the service serves (:meth:`apply_delta` is the
+        mutation path).  ``None`` when ``csr`` is given.
     options:
         Default :class:`~repro.core.options.SolveOptions` for every solve;
         individual calls may override them.
     csr:
-        A prebuilt :class:`~repro.graphs.csr.CSRGraph` to adopt instead of
-        packing ``graph``.
+        A prebuilt :class:`~repro.graphs.csr.CSRGraph` to adopt instead
+        of a ``graph`` (shard replicas and stream-built instances).
+        Passing both raises ``ValueError``.
     max_cached_roots / max_cached_candidates / max_cached_scores /
     max_cached_results:
         LRU bounds of the four cache layers (``None`` = unbounded).  The
@@ -210,17 +213,19 @@ class ConnectorService:
         max_cached_results: int | None = 1024,
         epoch: int = 0,
     ) -> None:
+        if graph is not None and csr is not None:
+            raise ValueError(
+                "pass a graph or a CSRGraph, not both: the service would "
+                "sweep one and validate against the other"
+            )
         if graph is None and csr is None:
             raise GraphError("ConnectorService needs a graph or a CSRGraph")
-        # Defensive copy: the service *owns* its graph.  Cached answers are
-        # pure functions of the graph content at a given epoch, so a caller
-        # mutating the submitted graph behind the service's back would
-        # silently corrupt every warm entry; the only supported mutation
-        # path is apply_delta, which versions the copy.
-        self.graph = graph.copy() if graph is not None else None
         self.options = options if options is not None else SolveOptions()
-        self._csr = csr
-        self._versioned = VersionedIndex(self.graph, csr, epoch=epoch)
+        self._versioned = VersionedIndex(
+            csr if csr is not None else CSRGraph.from_graph(graph), epoch=epoch
+        )
+        # This epoch's dict view (see the graph property), built on first use.
+        self._graph: Graph | None = None
         # The sweep engine, built on first use (see _sweep_engine).
         self._engine: CSRWienerSteinerEngine | None = None
         self._max_cached_roots = max_cached_roots
@@ -231,7 +236,6 @@ class ConnectorService:
         self._entries_invalidated = 0
         self._entries_retained = 0
         self._pairs_scored = 0
-        self._index_digest: str | None = None
         self._created = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -239,17 +243,26 @@ class ConnectorService:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        if self.graph is not None:
-            return self.graph.num_nodes
-        return self._csr.num_nodes
+        return self._versioned.csr.num_nodes
+
+    @property
+    def graph(self) -> Graph:
+        """This epoch's host graph as a dict :class:`Graph` — read-only.
+
+        Materialized from the CSR arrays (nodes in index order) on first
+        access and rebuilt after each :meth:`apply_delta`, so a bare-CSR
+        service has one too.  The baseline methods run on it; the ws-q
+        sweep never reads it.  Do not mutate it: the service would not
+        see the change, but later baseline solves of this epoch would.
+        """
+        if self._graph is None:
+            self._graph = self._versioned.csr.to_graph()
+        return self._graph
 
     def _missing(self, vertices) -> list[str]:
         """Reprs of the given vertices the graph does not hold, sorted."""
-        if self.graph is not None:
-            has = self.graph.has_node
-        else:
-            has = self._csr.index_of.__contains__
-        return sorted(repr(v) for v in vertices if not has(v))
+        index_of = self._versioned.csr.index_of
+        return sorted(repr(v) for v in vertices if v not in index_of)
 
     def _validate(self, query_set: frozenset) -> None:
         if not query_set:
@@ -259,41 +272,24 @@ class ConnectorService:
             raise InvalidQueryError(f"query vertices not in graph: {missing}")
 
     def index_digest(self) -> str:
-        """A process- and host-stable hex digest of the graph index content.
+        """A process- and host-stable hex digest of this epoch's index.
 
         The handshake token of the remote shard transport: a
         :class:`~repro.core.sharded.ShardedConnectorService` router sends
         this digest to every shard-host daemon at connect time and the
         daemon refuses mismatches — two processes that do not serve the
-        *same* graph must never share a key ring, or the bit-identity
-        contract breaks silently (a shard would sweep a different
-        vertex/edge set than the router validates against).
-
-        Built from the :func:`~repro.core.options.stable_repr` of the
-        node and canonical edge sets, so it agrees wherever the same
-        graph is loaded: router or shard host, dict or CSR index, any
-        ``PYTHONHASHSEED``, today's process or a restarted one.
+        *same* index must never share a key ring, or the bit-identity
+        contract breaks silently.  It hashes the labels in index order and
+        the CSR arrays (:func:`~repro.core.versioned.index_digest_of`), so
+        a reordered copy of the graph, which can answer differently, is
+        refused too.  Cached by the version index until the next delta.
         """
-        if self._index_digest is None:
-            self._index_digest = index_digest_of(self.graph, self._csr)
-        return self._index_digest
-
-    def _csr_index(self) -> CSRGraph:
-        """The current epoch's CSR arrays, built on first use.
-
-        Built through the version index so the epoch counter and the
-        arrays can never describe different graphs.
-        """
-        if self._csr is None:
-            self._csr = self._versioned.csr
-        return self._csr
+        return self._versioned.index_digest()
 
     def _sweep_engine(self) -> CSRWienerSteinerEngine:
         if self._engine is None:
             self._engine = CSRWienerSteinerEngine(
-                self.graph,
-                csr=self._csr_index(),
-                max_cached_roots=self._max_cached_roots,
+                self._versioned.csr, max_cached_roots=self._max_cached_roots
             )
         return self._engine
 
@@ -480,8 +476,8 @@ class ConnectorService:
         """Solve one query; repeated ``(query, options)`` pairs hit cache.
 
         Non-``ws-q`` methods (``options.method``) are dispatched through
-        the uniform :data:`repro.baselines.METHODS` registry and cached
-        the same way.
+        the uniform :data:`repro.baselines.METHODS` registry on
+        :attr:`graph` and cached the same way.
 
         Cache hits return the *same* :class:`ConnectorResult` object
         (standard memoization semantics, and what makes repeats
@@ -489,11 +485,6 @@ class ConnectorService:
         since mutating it would alter every later response for the query.
         """
         opts = self._merge(options)
-        if self.graph is None and opts.method != "ws-q":
-            raise GraphError(
-                f"method {opts.method!r} needs the original graph; a "
-                "service built from bare CSR arrays serves ws-q only"
-            )
         query_set = frozenset(query)
         result_key = (query_set, opts)
         cached = self._results.get(result_key)
@@ -523,13 +514,12 @@ class ConnectorService:
     ) -> SweepOutcome:
         """Run one λ×root sweep and return its picklable outcome.
 
-        This is the *shard-side worker API*: unlike :meth:`solve` it works
-        on a graph-less (bare-CSR) service, so a shard worker process can
-        serve it, and the graph-holding router turns the outcome into a
-        :class:`ConnectorResult`.  Outcomes are cached in the result LRU
-        under a ``("sweep", query, options)`` key — disjoint from
-        :meth:`solve` keys — so warm re-asks of a shard are answered
-        without recomputation, bit-identically.
+        This is the *shard-side worker API*: a shard replica serves it,
+        and the router turns the outcome into a :class:`ConnectorResult`.
+        Outcomes are cached in the result LRU under a ``("sweep", query,
+        options)`` key — disjoint from :meth:`solve` keys — so warm
+        re-asks of a shard are answered without recomputation,
+        bit-identically.
         """
         opts = self._merge(options)
         query_set = frozenset(query)
@@ -577,7 +567,7 @@ class ConnectorService:
 
         Feed the payload to :func:`service_from_payload` in the worker.
         """
-        csr = self._csr_index()
+        csr = self._versioned.csr
         return {
             "options": self._merge(options),
             "limits": dict(cache_limits) if cache_limits else {},
@@ -602,8 +592,7 @@ class ConnectorService:
         if extra:
             metadata.update(extra)
         return ConnectorResult(
-            host=self.graph if self.graph is not None
-            else self._induced_host(solved.nodes),
+            host=self._induced_host(solved.nodes),
             nodes=solved.nodes,
             query=query_set,
             method="ws-q",
@@ -611,7 +600,7 @@ class ConnectorService:
         )
 
     def _induced_host(self, nodes: frozenset) -> Graph:
-        """A dict host for results of a graph-less (bare-CSR) service.
+        """The dict host of a ws-q result: ``G[S]``, built from the arrays.
 
         ``ConnectorResult`` uses its host only through
         ``host.subgraph(result.nodes)`` (Wiener index and density of the
@@ -620,9 +609,21 @@ class ConnectorService:
         bit-identical derived metrics without ever building the full dict
         graph.  Connectors are small (tens of vertices), so this stays
         cheap even on a 10^6-node instance.
+
+        Built row by row, in index order: the graph
+        ``csr.induced(...).to_graph()`` would give, at under half its cost
+        for tens of vertices.  A router builds one per routed reply.
         """
-        csr = self._csr_index()
-        return csr.induced(csr.indices_for(nodes)).to_graph()
+        csr = self._versioned.csr
+        node_of, indptr, indices = csr.node_of, csr.indptr, csr.indices
+        members = sorted(csr.index_of[v] for v in nodes)
+        inside = set(members)
+        host = Graph(nodes=[node_of[i] for i in members])
+        for i in members:
+            for j in indices[indptr[i]:indptr[i + 1]].tolist():
+                if i < j and j in inside:
+                    host.add_edge(node_of[i], node_of[j])
+        return host
 
     # ------------------------------------------------------------------
     # Mutation: versioned epochs + scoped invalidation
@@ -654,8 +655,9 @@ class ConnectorService:
     def apply_delta(self, delta: GraphDelta) -> int:
         """Mutate the graph to the next epoch; returns the new epoch number.
 
-        All-or-nothing: an inapplicable delta raises
-        :class:`~repro.errors.DeltaError` with the graph, the caches, and
+        All-or-nothing: an inapplicable delta (including any reweight op:
+        the host graph is unweighted) raises
+        :class:`~repro.errors.DeltaError` with the arrays, the caches, and
         the epoch untouched.
 
         On success the caches are **scope-invalidated**, not dropped: a
@@ -683,25 +685,12 @@ class ConnectorService:
             raise DeltaError(
                 f"apply_delta takes a GraphDelta, got {type(delta).__name__}"
             )
-        # Reject before analysis: the retention pass below fixes cached
-        # entries up in place, which must not happen for a delta that the
-        # version index would then refuse.
-        if delta.reweights:
-            raise DeltaError(
-                "reweight ops need a weighted graph; the serving host "
-                "graph is unweighted"
-            )
-        if self.graph is not None:
-            delta._check_applicable(self.graph.has_edge)
-        else:
-            delta._check_applicable(
-                lambda u, v: csr_has_edge(self._csr, u, v)
-            )
-        touched = delta.touched_edges()
-
+        # The version index validates the whole delta before it builds the
+        # new arrays, so a refused delta never reaches the retention pass
+        # below, which fixes cached entries up in place.
         epoch = self._versioned.apply(delta)
-        self._csr = self._versioned.csr if self._versioned.csr_built else None
-        self._index_digest = None
+        self._graph = None
+        touched = delta.touched_edges()
 
         retained = invalidated = 0
         if self._engine is not None:
@@ -767,12 +756,9 @@ class ConnectorService:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        shape = (
-            f"|V|={self.num_nodes}" if self.graph is not None or self._csr
-            else "?"
-        )
         return (
-            f"{type(self).__name__}({shape}, served={self._queries_served})"
+            f"{type(self).__name__}(|V|={self.num_nodes}, "
+            f"served={self._queries_served})"
         )
 
 
@@ -793,10 +779,10 @@ def _root_list(options: SolveOptions, query_set: frozenset) -> list:
 def service_from_payload(payload: dict) -> ConnectorService:
     """Rebuild a worker-side :class:`ConnectorService` from a payload.
 
-    The inverse of :meth:`ConnectorService.worker_payload`: a graph-less
-    service sharing the router's int arrays (it can
-    :meth:`~ConnectorService.sweep` but not run baseline methods).  Used
-    by the persistent shard processes of :mod:`repro.core.sharded`.
+    The inverse of :meth:`ConnectorService.worker_payload`: a service
+    over the router's int arrays, the same kind of service the router
+    holds.  Used by the persistent shard processes of
+    :mod:`repro.core.sharded`.
     """
     csr = CSRGraph(payload["indptr"], payload["indices"], payload["node_of"])
     return ConnectorService(

@@ -32,8 +32,8 @@ designed for — so the router stays small:
   a batch are sent once and fan back out to every position), preserves
   request order, and turns the shards' picklable
   :class:`~repro.core.service.SweepOutcome` replies into
-  :class:`~repro.core.result.ConnectorResult` objects on the
-  graph-holding side.
+  :class:`~repro.core.result.ConnectorResult` objects, each built on the
+  connector's induced subgraph exactly as a single service builds it.
 
 Failure semantics (what fails, what degrades, what heals)
 ---------------------------------------------------------
@@ -541,16 +541,15 @@ class ShardedConnectorService:
     Parameters
     ----------
     graph:
-        The host graph; the router keeps it for validation and result
-        construction while shards receive only the payload arrays (or,
-        for remote shards, nothing — the daemon loaded its own copy,
-        checked against ours by digest at connect time).  May be ``None``
-        when ``csr`` is given: the router then runs graph-less on the
-        bare arrays (the stream-constructed million-node path), serving
-        ``ws-q`` with results whose hosts are induced from the CSR.
+        The host graph, packed once into the router's CSR arrays (its
+        local :class:`ConnectorService` keeps no dict copy).  Local shards
+        receive those arrays as their payload; a remote daemon loaded its
+        own copy, checked against ours by index digest at connect time.
+        ``None`` when ``csr`` is given.
     csr:
-        A :class:`~repro.graphs.csr.CSRGraph` backing a graph-less
-        router; ignored when ``graph`` is given.
+        A prebuilt :class:`~repro.graphs.csr.CSRGraph` to adopt instead of
+        a ``graph`` (the stream-constructed million-node path).  Passing
+        both raises ``ValueError``.
     options:
         Default :class:`SolveOptions`, overridable per call (the pair is
         the routing key, so the same query under different options may
@@ -664,8 +663,8 @@ class ShardedConnectorService:
         self._heartbeat_interval = heartbeat_interval
         self._backoff = backoff if backoff is not None else BackoffPolicy()
         # The router-side service: validation, payload construction, result
-        # building, and the local fallback for non-"ws-q" methods.  Its own
-        # solve caches see no sharded traffic.
+        # building, the digest, and the baseline methods, which never
+        # travel the wire.  Its own solve caches see no sharded traffic.
         self._local = ConnectorService(
             graph,
             options,
@@ -739,6 +738,7 @@ class ShardedConnectorService:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> Graph:
+        """The router's per-epoch dict view (:attr:`ConnectorService.graph`)."""
         return self._local.graph
 
     @property
@@ -1040,10 +1040,9 @@ class ShardedConnectorService:
 
         Distinct keys are scattered to their home shards and solved
         concurrently; identical in-flight keys are sent once and every
-        duplicate position receives the same result object.  Non-``ws-q``
-        methods need the host graph, which the array-seeded shard
-        replicas do not have, so the router's local service answers them
-        with the same results.
+        duplicate position receives the same result object.  The shard
+        wire carries ws-q sweeps only, so the router's local service
+        answers non-``ws-q`` methods, with the same results.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")

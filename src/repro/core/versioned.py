@@ -11,14 +11,16 @@ the tower down.  Two pieces:
   :meth:`~GraphDelta.digest` in every process.  Replay is defined on all
   three graph representations — the dict :class:`~repro.graphs.graph.Graph`,
   the :class:`~repro.graphs.graph.WeightedGraph`, and the packed
-  :class:`~repro.graphs.csr.CSRGraph` arrays — and produces the *same*
-  canonical node order on each, which is what keeps the dict and CSR
-  views of one graph bit-identical across mutations.
-* :class:`VersionedIndex` — an epoch counter over a mutating graph.
-  Epoch 0 is the construction-time graph; every ``apply(delta)`` bumps
-  the epoch, rebuilds the CSR arrays *from the current arrays* (not from
-  scratch), and remembers the delta so a replica that missed some epochs
-  can request the catch-up suffix (:meth:`~VersionedIndex.deltas_since`)
+  :class:`~repro.graphs.csr.CSRGraph` arrays — and appends new endpoints
+  in the *same* canonical order on each, so a dict twin replayed with
+  :meth:`~GraphDelta.apply_to_graph` packs to the arrays that
+  :meth:`~GraphDelta.apply_to_csr` produced.
+* :class:`VersionedIndex` — an epoch counter over one mutating CSR index,
+  the only graph a serving replica holds.  Epoch 0 is the
+  construction-time index; every ``apply(delta)`` bumps the epoch,
+  rebuilds the CSR arrays *from the current arrays* (not from scratch),
+  and remembers the delta so a replica that missed some epochs can
+  request the catch-up suffix (:meth:`~VersionedIndex.deltas_since`)
   instead of a full restart.  Each epoch has its own
   :meth:`~VersionedIndex.index_digest` — the remote handshake token.
 
@@ -36,8 +38,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
+import numpy as np
+
 from repro.core.options import stable_repr
 from repro.errors import DeltaError, GraphError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, Node, WeightedGraph
 
 __all__ = [
@@ -79,8 +84,6 @@ def _edge_sort_key(edge):
 
 
 def _has_arc(csr, a: int, b: int) -> bool:
-    from repro.graphs.csr import np
-
     lo = int(csr.indptr[a])
     hi = int(csr.indptr[a + 1])
     k = lo + int(np.searchsorted(csr.indices[lo:hi], b))
@@ -294,8 +297,6 @@ class GraphDelta:
         appended in canonical op order (matching :meth:`apply_to_graph`'s
         insertion order on the dict twin).
         """
-        from repro.graphs.csr import CSRGraph, np
-
         if self.reweights:
             raise DeltaError("reweight ops need a weighted graph")
         node_of = list(csr.node_of)
@@ -352,76 +353,53 @@ class GraphDelta:
         )
 
 
-def index_digest_of(graph: Graph | None = None, csr=None) -> str:
-    """The process- and host-stable hex digest of a graph index's content.
+def index_digest_of(csr: CSRGraph) -> str:
+    """The process- and host-stable hex digest of one CSR index.
 
-    The remote handshake token: built from the
-    :func:`~repro.core.options.stable_repr` of the node and canonical edge
-    sets, so it agrees wherever the same *logical* graph is loaded —
-    router or shard host, dict or CSR index, any ``PYTHONHASHSEED``,
-    before or after the same delta sequence.
+    The remote handshake token.  It hashes the labels in index order
+    (their :func:`~repro.core.options.stable_repr`) and the ``indptr`` and
+    ``indices`` arrays as little-endian int64 bytes, so every host
+    architecture and every ``PYTHONHASHSEED`` agrees.  Equal digests mean
+    an equal index: the same label at every index and the same rows.
+    Every tie-break of the engine reads that index order, so the digest is
+    exactly as fine as the answers — two orderings of one graph digest
+    differently, because they can answer differently.
     """
-    if graph is not None:
-        node_reprs = sorted(stable_repr(node) for node in graph.nodes())
-        edge_reprs = sorted(
-            "|".join(sorted((stable_repr(u), stable_repr(v))))
-            for u, v in graph.edges()
-        )
-    elif csr is not None:
-        node_of = csr.node_of
-        node_reprs = sorted(stable_repr(node) for node in node_of)
-        indptr, indices = csr.indptr, csr.indices
-        edge_reprs = sorted(
-            "|".join(
-                sorted((stable_repr(node_of[i]), stable_repr(node_of[j])))
-            )
-            for i in range(len(node_of))
-            for j in indices[indptr[i]:indptr[i + 1]]
-            if i <= j
-        )
-    else:
-        raise GraphError("index_digest_of needs a graph or a CSRGraph")
     digest = hashlib.sha1()
-    digest.update(repr(len(node_reprs)).encode("utf-8"))
-    for text in node_reprs:
-        digest.update(b"n")
-        digest.update(text.encode("utf-8"))
-    for text in edge_reprs:
-        digest.update(b"e")
-        digest.update(text.encode("utf-8"))
+    digest.update(b"indptr")
+    digest.update(csr.indptr.astype("<i8", copy=False).tobytes())
+    digest.update(b"indices")
+    digest.update(csr.indices.astype("<i8", copy=False).tobytes())
+    digest.update(b"labels")
+    digest.update("\n".join(map(stable_repr, csr.node_of)).encode("utf-8"))
     return digest.hexdigest()
 
 
 class VersionedIndex:
-    """Epoch-numbered snapshots of a mutating graph index.
+    """Epoch-numbered snapshots of one mutating CSR index.
 
-    Epoch 0 is the construction-time graph; :meth:`apply` validates and
-    replays one :class:`GraphDelta`, bumps the epoch, refreshes the CSR
-    arrays incrementally (when they have been built), and records the
-    delta for replica catch-up.  The graph and CSR views always describe
-    the *same* epoch — there is no window where they disagree, because
-    the CSR refresh happens inside :meth:`apply` before the epoch bump
-    returns.
+    Epoch 0 is the construction-time index; :meth:`apply` replays one
+    :class:`GraphDelta` with :meth:`GraphDelta.apply_to_csr`, bumps the
+    epoch, and records the delta for replica catch-up.  The replay builds
+    new arrays and validates before it returns them, so a refused delta
+    leaves the old epoch's arrays, epoch and history untouched.
 
     Parameters
     ----------
-    graph:
-        The mutable host :class:`Graph`; may be ``None`` for an
-        arrays-only index (shard workers), in which case deltas replay
-        directly onto the CSR arrays.
     csr:
-        Optional prebuilt :class:`~repro.graphs.csr.CSRGraph` to adopt.
+        The :class:`~repro.graphs.csr.CSRGraph` of epoch 0.
     epoch:
         The starting epoch number — non-zero when this index is a replica
         catching up to a router that has already applied deltas.
     """
 
-    __slots__ = ("graph", "_csr", "_epoch", "_base_epoch", "_history", "_digest")
+    __slots__ = ("_csr", "_epoch", "_base_epoch", "_history", "_digest")
 
-    def __init__(self, graph: Graph | None = None, csr=None, *, epoch: int = 0) -> None:
-        if graph is None and csr is None:
-            raise GraphError("VersionedIndex needs a graph or a CSRGraph")
-        self.graph = graph
+    def __init__(self, csr: CSRGraph, *, epoch: int = 0) -> None:
+        if not isinstance(csr, CSRGraph):
+            raise GraphError(
+                f"VersionedIndex takes a CSRGraph, got {type(csr).__name__}"
+            )
         self._csr = csr
         self._epoch = int(epoch)
         self._base_epoch = self._epoch
@@ -433,46 +411,28 @@ class VersionedIndex:
         return self._epoch
 
     @property
-    def csr(self):
-        """The current epoch's CSR arrays, built lazily from the graph."""
-        if self._csr is None:
-            from repro.graphs.csr import CSRGraph
-
-            self._csr = CSRGraph.from_graph(self.graph)
+    def csr(self) -> CSRGraph:
+        """The current epoch's CSR arrays."""
         return self._csr
-
-    @property
-    def csr_built(self) -> bool:
-        return self._csr is not None
 
     def index_digest(self) -> str:
         """This epoch's handshake digest (cached until the next delta)."""
         if self._digest is None:
-            self._digest = index_digest_of(self.graph, self._csr)
+            self._digest = index_digest_of(self._csr)
         return self._digest
 
     def apply(self, delta: GraphDelta) -> int:
         """Replay ``delta``; returns the new epoch number.
 
         All-or-nothing: an inapplicable delta raises
-        :class:`~repro.errors.DeltaError` with graph, arrays, epoch and
-        history untouched.
+        :class:`~repro.errors.DeltaError` with arrays, epoch and history
+        untouched.
         """
         if not isinstance(delta, GraphDelta):
             raise DeltaError(
                 f"apply() takes a GraphDelta, got {type(delta).__name__}"
             )
-        if self.graph is not None:
-            # Refresh the arrays FIRST: apply_to_csr is pure (returns new
-            # arrays), so a failure leaves the old epoch fully intact,
-            # whereas the in-place graph replay must come last.
-            new_csr = (
-                delta.apply_to_csr(self._csr) if self._csr is not None else None
-            )
-            delta.apply_to_graph(self.graph)
-            self._csr = new_csr
-        else:
-            self._csr = delta.apply_to_csr(self._csr)
+        self._csr = delta.apply_to_csr(self._csr)
         self._epoch += 1
         self._digest = None
         self._history.append(delta)
@@ -484,7 +444,7 @@ class VersionedIndex:
     def align(self, epoch: int) -> None:
         """Renumber this timeline so the current version is ``epoch``.
 
-        A pure relabeling — graph, arrays, digest and retained history
+        A pure relabeling — arrays, digest and retained history
         are untouched; only the epoch coordinates shift.  Used by a shard
         host whose digest-verified graph matches a router counting from a
         different base (a daemon restarted with the already-mutated
@@ -507,5 +467,4 @@ class VersionedIndex:
         return tuple(self._history[epoch - self._base_epoch:])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        shape = self.graph if self.graph is not None else self._csr
-        return f"{type(self).__name__}(epoch={self._epoch}, {shape!r})"
+        return f"{type(self).__name__}(epoch={self._epoch}, {self._csr!r})"

@@ -111,14 +111,12 @@ def wiener_steiner(
         lambda_values=tuple(lambda_values) if lambda_values is not None else None,
         exact_threshold=EXACT_SCORING_THRESHOLD,
     )
+    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
     # A throwaway service sweeps once and dies: an unbounded root cache is
     # right here (every root is revisited per λ pass), while the service
     # default LRU bound would thrash on sweeps with many hundreds of roots.
-    if isinstance(graph, CSRGraph):
-        return ConnectorService(
-            None, options, csr=graph, max_cached_roots=None
-        ).solve(query)
-    return ConnectorService(graph, options, max_cached_roots=None).solve(query)
+    service = ConnectorService(None, options, csr=csr, max_cached_roots=None)
+    return service.solve(query)
 
 
 #: Public alias matching the paper's problem name.

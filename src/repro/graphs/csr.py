@@ -450,11 +450,6 @@ class CSRGraph:
         return f"CSRGraph(|V|={self.num_nodes}, |E|={self.num_edges})"
 
 
-def csr_from_graph(graph: Graph) -> CSRGraph:
-    """Module-level alias for :meth:`CSRGraph.from_graph`."""
-    return CSRGraph.from_graph(graph)
-
-
 def order_map(graph: Graph | WeightedGraph) -> dict[Node, int]:
     """The canonical node → index map (insertion order), without numpy.
 

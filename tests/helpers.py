@@ -20,6 +20,7 @@ import time
 from contextlib import contextmanager
 
 from repro.core.service import ConnectorService
+from repro.core.versioned import GraphDelta
 from repro.graphs.generators import connectify, erdos_renyi
 from repro.graphs.graph import Graph, WeightedGraph
 from repro.serving.remote import ShardHostServer
@@ -142,6 +143,56 @@ def random_query_batch(graph: Graph, rng: random.Random, count: int,
     """``count`` random query sets of size ``lo..hi`` over ``graph``."""
     nodes = sorted(graph.nodes())
     return [rng.sample(nodes, rng.randint(lo, hi)) for _ in range(count)]
+
+
+def _connected_after_removal(graph: Graph, u, v) -> bool:
+    """Whether dropping the edge ``{u, v}`` keeps the graph connected."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for y in graph.neighbors(x):
+            if (x == u and y == v) or (x == v and y == u):
+                continue
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return v in seen
+
+
+def delta_for(graph: Graph, rng: random.Random, ops: int = 3) -> GraphDelta:
+    """A random applicable, connectivity-preserving delta.
+
+    Deletes only bridgeless existing edges and inserts only absent pairs,
+    so the mutated graph stays connected and every query remains
+    solvable — the fuzz compares answers, not error spellings.
+    """
+    edges = sorted(graph.edges(), key=repr)
+    nodes = sorted(graph.nodes())
+    inserts, deletes = [], []
+    taken: set[frozenset] = set()
+    scratch = graph.copy()
+    for _ in range(ops):
+        if rng.random() < 0.5:
+            candidates = [
+                edge for edge in edges
+                if frozenset(edge) not in taken
+                and _connected_after_removal(scratch, *edge)
+            ]
+            if candidates:
+                u, v = candidates[rng.randrange(len(candidates))]
+                deletes.append((u, v))
+                scratch.remove_edge(u, v)
+                taken.add(frozenset((u, v)))
+                continue
+        while True:
+            u, v = rng.sample(nodes, 2)
+            if not scratch.has_edge(u, v) and frozenset((u, v)) not in taken:
+                break
+        inserts.append((u, v))
+        scratch.add_edge(u, v)
+        taken.add(frozenset((u, v)))
+    return GraphDelta(inserts=tuple(inserts), deletes=tuple(deletes))
 
 
 def assert_connector_identical(result, reference) -> None:

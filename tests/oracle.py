@@ -19,9 +19,11 @@ the ``st`` baseline are compared against.
 
 The oracle speaks the CSR engine's interface (``apply_delta(delta,
 new_csr)`` included), so tests install it through the one attribute that
-holds a service's engine and then drive the unchanged λ×root sweep::
+holds a service's engine and then drive the unchanged λ×root sweep.  The
+service holds only CSR arrays, so the oracle gets its own copy of the
+graph the service was built from::
 
-    service = use_oracle(ConnectorService(graph, options))
+    service = use_oracle(ConnectorService(graph, options), graph)
     assert service.solve(query).nodes == wiener_steiner(graph, query).nodes
 
 :func:`oracle_solve` is the oracle twin of one-shot ``wiener_steiner``.
@@ -303,9 +305,10 @@ def canonical_forest_from_distances(
 class DictOracleEngine:
     """The pure-Python reference engine (hashable nodes, dict adjacency).
 
-    Shares the host graph with its service by reference: the service's
-    version index mutates that graph in place before calling
-    :meth:`apply_delta`, so the oracle always reads the current epoch.
+    Owns its host graph: :func:`use_oracle` hands it a private copy, and
+    :meth:`apply_delta` replays every delta onto that copy with
+    ``GraphDelta.apply_to_graph``.  It never reads the service's CSR
+    arrays, so the mutation fuzz compares two independent replays.
     """
 
     def __init__(
@@ -398,11 +401,11 @@ class DictOracleEngine:
         return (total / num_sources) * n / 2
 
     def apply_delta(self, delta, new_csr) -> tuple[int, int]:
-        """Scoped root-cache invalidation; returns ``(retained, evicted)``.
+        """Replay ``delta`` onto the oracle's own graph, then scope-invalidate.
 
-        ``new_csr`` is accepted for interface parity and ignored: the
-        shared graph has already been mutated, while the cached entries
-        still describe the pre-delta epoch.  An entry survives only when
+        Returns ``(retained, evicted)``.  ``new_csr`` is accepted for
+        interface parity and ignored.  The cached entries still describe
+        the pre-delta epoch.  An entry survives only when
         the delta provably preserves its BFS tree — inserts between
         unreachable endpoints or at equal depth, gap-1 inserts (with the
         deeper endpoint's canonical parent fixed up), deletes between
@@ -410,6 +413,7 @@ class DictOracleEngine:
         adds nodes evicts everything and rebuilds the order map.
         """
         del new_csr
+        delta.apply_to_graph(self.graph)
         if self.graph.num_nodes != len(self._order):
             evicted = self._root_cache.clear()
             self._order = order_map(self.graph)
@@ -458,10 +462,12 @@ class DictOracleEngine:
         return retained, evicted
 
 
-def use_oracle(service: ConnectorService) -> ConnectorService:
-    """Install the oracle as ``service``'s engine; returns the service."""
+def use_oracle(service: ConnectorService, graph: Graph) -> ConnectorService:
+    """Install the oracle, over its own copy of ``graph``, as ``service``'s
+    engine; returns the service.  ``graph`` must be the graph the service
+    was built from."""
     service._engine = DictOracleEngine(
-        service.graph, max_cached_roots=service._max_cached_roots
+        graph.copy(), max_cached_roots=service._max_cached_roots
     )
     return service
 
@@ -469,7 +475,7 @@ def use_oracle(service: ConnectorService) -> ConnectorService:
 def make_service(graph: Graph, options=None, engine: str = "csr", **kwargs):
     """A service sweeping with ``engine`` — one of :data:`ENGINES`."""
     service = ConnectorService(graph, options, **kwargs)
-    return use_oracle(service) if engine == "dict" else service
+    return use_oracle(service, graph) if engine == "dict" else service
 
 
 def oracle_solve(
@@ -491,4 +497,4 @@ def oracle_solve(
         exact_threshold=EXACT_SCORING_THRESHOLD,
     )
     service = ConnectorService(graph, options, max_cached_roots=None)
-    return use_oracle(service).solve(query)
+    return use_oracle(service, graph).solve(query)

@@ -338,7 +338,7 @@ class TestRootBatchMemory:
         matrix buffer, so its transient peak is that of one Mehlhorn run,
         not a ``|grid| × |arcs|`` block."""
         g = random_connected_graph(2000, 0.005, 10350)
-        engine = CSRWienerSteinerEngine(g)
+        engine = CSRWienerSteinerEngine(CSRGraph.from_graph(g))
         query = frozenset(sorted(g.nodes())[:4])
         root = min(query)
         # Warm the root entry and the reusable matrix outside the window.

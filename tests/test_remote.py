@@ -33,6 +33,7 @@ from helpers import (
 from repro.core.options import SolveOptions
 from repro.core.service import ConnectorService
 from repro.core.sharded import (
+    ShardConnectError,
     ShardTransportError,
     ShardedConnectorService,
     normalize_shard_spec,
@@ -278,18 +279,42 @@ class TestHandshake:
             listener.close()
         assert_no_orphan_processes()
 
-    def test_index_digest_is_content_stable(self):
+    def test_index_digest_pins_the_index_order(self):
+        """The twin has g's vertices and edges in another insertion order,
+        so another CSR index.  Every tie-break reads index order, so the
+        twin answers some queries differently, and its digest must
+        differ too.  Equal indexes still digest equal."""
         g = random_connected_graph(30, 0.12, 47)
         twin = Graph(sorted(g.edges(), reverse=True))
+        assert twin.num_edges == g.num_edges
+        queries = random_query_batch(g, random.Random(47), 20, lo=3, hi=3)
+        assert any(
+            wiener_steiner(g, query).nodes != wiener_steiner(twin, query).nodes
+            for query in queries
+        )
         assert (
             ConnectorService(g).index_digest()
-            == ConnectorService(twin).index_digest()
+            != ConnectorService(twin).index_digest()
+        )
+        assert (
+            ConnectorService(g).index_digest()
+            == ConnectorService(g.copy()).index_digest()
         )
         different = random_connected_graph(30, 0.12, 48)
         assert (
             ConnectorService(g).index_digest()
             != ConnectorService(different).index_digest()
         )
+
+    def test_reordered_twin_is_refused_at_hello(self):
+        """A shard host serving the same graph in another index order
+        would pass a content-only digest and answer differently."""
+        g = random_connected_graph(30, 0.12, 47)
+        twin = Graph(sorted(g.edges(), reverse=True))
+        with shard_hosts(twin, 1) as addresses:
+            with pytest.raises(ShardConnectError, match="digest mismatch"):
+                ShardedConnectorService(g, shards=addresses)
+        assert_no_orphan_processes()
 
 
 class TestShardHostProtocol:

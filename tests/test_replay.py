@@ -224,6 +224,7 @@ class TestCsrOnlyTower:
         reference = ConnectorService(host_graph).solve(query)
         bare = ConnectorService(None, csr=csr).solve(query)
         assert_connector_identical(bare, reference)
+        assert bare.subgraph == host_graph.subgraph(bare.nodes)
         assert bare.wiener_index == reference.wiener_index
         assert bare.density == reference.density
 
@@ -235,13 +236,3 @@ class TestCsrOnlyTower:
         assert_connector_identical(
             wiener_steiner(csr, query), wiener_steiner(host_graph, query)
         )
-
-    def test_non_wsq_method_needs_graph(self, host_graph):
-        from repro.core.options import SolveOptions
-        from repro.errors import GraphError
-        from repro.graphs.csr import CSRGraph
-
-        csr = CSRGraph.from_graph(host_graph)
-        service = ConnectorService(None, csr=csr)
-        with pytest.raises(GraphError):
-            service.solve(frozenset([0, 1]), SolveOptions(method="st"))

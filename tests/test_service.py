@@ -19,6 +19,7 @@ import pytest
 from helpers import (
     assert_connector_identical,
     assert_no_orphan_processes,
+    delta_for,
     random_connected_graph,
     random_query_batch,
 )
@@ -33,7 +34,9 @@ from repro.core.service import (
 )
 from repro.core.sharded import ShardedConnectorService
 from repro.core.wiener_steiner import wiener_steiner
+from repro.datasets import load_dataset
 from repro.errors import DisconnectedGraphError, GraphError, InvalidQueryError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 
 
@@ -192,6 +195,18 @@ class TestServiceIdentity:
     def test_needs_graph_or_csr(self):
         with pytest.raises(GraphError):
             ConnectorService()
+
+    def test_graph_and_csr_together_are_refused(self):
+        """Given both, a service would sweep one graph and validate against
+        the other: a path and a star once answered [0, 4] with a vertex
+        the path does not have."""
+        path = Graph([(0, 1), (1, 2), (2, 3), (3, 4)])
+        star = CSRGraph.from_graph(Graph([(9, leaf) for leaf in range(5)]))
+        with pytest.raises(ValueError, match="not both"):
+            ConnectorService(path, csr=star)
+        with pytest.raises(ValueError, match="not both"):
+            ShardedConnectorService(path, csr=star, n_shards=1)
+        assert_no_orphan_processes()
 
     def test_backends_identical_through_service(self):
         g = random_connected_graph(52, 0.08, 17)
@@ -437,6 +452,68 @@ class TestMethodProtocol:
             ConnectorService(triangle).solve(
                 [0, 1], SolveOptions(method="frobnicate")
             )
+
+
+#: The baseline methods: the service runs them on its per-epoch dict view.
+BASELINES = ("st", "ppr", "cps", "ctp")
+#: Two registry datasets and three seeded ER graphs.
+PARITY_GRAPHS = ("football", "email", "er-11", "er-12", "er-13")
+
+
+def _parity_case(name: str) -> tuple[Graph, list]:
+    if name.startswith("er-"):
+        seed = int(name[3:])
+        graph = random_connected_graph(80, 0.06, seed)
+    else:
+        seed = 7
+        graph = load_dataset(name)
+    return graph, random_query_batch(graph, random.Random(seed), 3)
+
+
+class TestBaselineParity:
+    """``st``, ``ppr``, ``cps`` and ``ctp`` run on ``ConnectorService.graph``,
+    the dict view a service materializes from its CSR arrays once per
+    epoch.  Its nodes keep the original order, but neighbour sets can
+    iterate differently; every answer must still equal the registry
+    method's on the original graph, for graph-built and bare-CSR services
+    alike, before and after a delta."""
+
+    @staticmethod
+    def _assert_parity(service, graph, queries):
+        for method in BASELINES:
+            for query in queries:
+                served = service.solve(query, SolveOptions(method=method))
+                expected = METHODS[method].solve(graph, query)
+                assert served.nodes == expected.nodes, (method, query)
+
+    @pytest.mark.parametrize("name", PARITY_GRAPHS)
+    def test_graph_service_matches_registry(self, name):
+        graph, queries = _parity_case(name)
+        self._assert_parity(ConnectorService(graph), graph, queries)
+
+    @pytest.mark.parametrize("name", PARITY_GRAPHS)
+    def test_bare_csr_service_matches_registry(self, name):
+        graph, queries = _parity_case(name)
+        service = ConnectorService(None, csr=CSRGraph.from_graph(graph))
+        self._assert_parity(service, graph, queries)
+
+    @pytest.mark.parametrize("name", PARITY_GRAPHS)
+    def test_parity_holds_after_a_delta(self, name):
+        """After one delta, against the registry on a dict twin replayed
+        with ``apply_to_graph``."""
+        graph, queries = _parity_case(name)
+        built = ConnectorService(graph)
+        bare = ConnectorService(None, csr=CSRGraph.from_graph(graph))
+        for service in (built, bare):
+            service.solve(queries[0], SolveOptions(method="st"))
+        before = built.graph
+        delta = delta_for(graph, random.Random(len(name)))
+        twin = graph.copy()
+        delta.apply_to_graph(twin)
+        for service in (built, bare):
+            service.apply_delta(delta)
+            self._assert_parity(service, twin, queries)
+        assert built.graph is not before
 
 
 class TestBatchedServingBeatsOneShot:

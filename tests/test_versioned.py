@@ -8,7 +8,7 @@ failover — is bit-identical to a cold one-shot ``wiener_steiner`` solve
 on the mutated graph.  Around that tentpole: unit tests for the delta
 value type (canonicalization, digests, the pure-JSON wire form), the
 graph mutation primitives it replays through, ``index_digest`` stability
-properties under mutation, the defensive-copy regression (mutating a
+properties under mutation, the private-index regression (mutating a
 submitted graph must not corrupt cached answers), epoch-mismatch typing,
 and one chaos case — a replica killed around a mutate heals back to the
 ring's epoch via catch-up deltas.
@@ -28,6 +28,7 @@ import pytest
 from helpers import (
     assert_connector_identical,
     assert_no_orphan_processes,
+    delta_for,
     random_connected_graph,
     random_query_batch,
     shard_hosts,
@@ -60,54 +61,12 @@ def run(coroutine):
     return asyncio.run(asyncio.wait_for(coroutine, timeout=120))
 
 
-def _connected_after_removal(graph: Graph, u, v) -> bool:
-    """Whether dropping the edge ``{u, v}`` keeps the graph connected."""
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in graph.neighbors(x):
-            if (x == u and y == v) or (x == v and y == u):
-                continue
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return v in seen
-
-
-def delta_for(graph: Graph, rng: random.Random, ops: int = 3) -> GraphDelta:
-    """A random applicable, connectivity-preserving delta.
-
-    Deletes only bridgeless existing edges and inserts only absent pairs,
-    so the mutated graph stays connected and every query remains
-    solvable — the fuzz compares answers, not error spellings.
-    """
-    edges = sorted(graph.edges(), key=repr)
-    nodes = sorted(graph.nodes())
-    inserts, deletes = [], []
-    taken: set[frozenset] = set()
-    scratch = graph.copy()
-    for _ in range(ops):
-        if rng.random() < 0.5:
-            candidates = [
-                edge for edge in edges
-                if frozenset(edge) not in taken
-                and _connected_after_removal(scratch, *edge)
-            ]
-            if candidates:
-                u, v = candidates[rng.randrange(len(candidates))]
-                deletes.append((u, v))
-                scratch.remove_edge(u, v)
-                taken.add(frozenset((u, v)))
-                continue
-        while True:
-            u, v = rng.sample(nodes, 2)
-            if not scratch.has_edge(u, v) and frozenset((u, v)) not in taken:
-                break
-        inserts.append((u, v))
-        scratch.add_edge(u, v)
-        taken.add(frozenset((u, v)))
-    return GraphDelta(inserts=tuple(inserts), deletes=tuple(deletes))
+def assert_same_index(csr: CSRGraph, graph: Graph) -> None:
+    """``graph`` packs to exactly ``csr``: same labels, same rows."""
+    packed = CSRGraph.from_graph(graph)
+    assert list(csr.node_of) == list(packed.node_of)
+    assert csr.indptr.tolist() == packed.indptr.tolist()
+    assert csr.indices.tolist() == packed.indices.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +206,7 @@ class TestDeltaReplayBackends:
             delta = delta_for(graph, rng)
             csr = delta.apply_to_csr(csr)
             delta.apply_to_graph(graph)
-            assert index_digest_of(graph) == index_digest_of(csr=csr)
-        # New endpoints were appended in one canonical order on both sides.
-        assert list(csr.node_of) == list(graph.nodes())
+            assert_same_index(csr, graph)
 
     def test_new_nodes_get_identical_numbering_on_both_backends(self):
         graph = Graph(edges=[(0, 1), (1, 2)])
@@ -263,13 +220,12 @@ class TestDeltaReplayBackends:
         graph = Graph(edges=[(0, 1), (1, 2)])
         csr = CSRGraph.from_graph(graph)
         bad = GraphDelta(inserts=((0, 2),), deletes=((5, 6),))
-        before = index_digest_of(graph)
         with pytest.raises(DeltaError, match="missing edge"):
             bad.apply_to_graph(graph)
         with pytest.raises(DeltaError, match="missing edge"):
             bad.apply_to_csr(csr)
-        assert index_digest_of(graph) == before
-        assert index_digest_of(csr=csr) == before
+        assert_same_index(csr, Graph(edges=[(0, 1), (1, 2)]))
+        assert_same_index(csr, graph)
         assert not graph.has_edge(0, 2)
         assert not csr_has_edge(csr, 0, 2)
 
@@ -287,58 +243,62 @@ class TestDeltaReplayBackends:
 class TestVersionedIndex:
     def test_epochs_count_and_digest_tracks_the_graph(self):
         graph = random_connected_graph(25, 0.2, seed=3)
-        index = VersionedIndex(graph.copy())
+        index = VersionedIndex(CSRGraph.from_graph(graph))
         assert index.epoch == 0
         rng = random.Random(5)
-        deltas = [delta_for(index.graph, rng) for _ in range(1)]
-        assert index.apply(deltas[0]) == 1
+        delta = delta_for(graph, rng)
+        assert index.apply(delta) == 1
         # The digest is the mutated graph's digest, not the seed's.
         reference = graph.copy()
-        deltas[0].apply_to_graph(reference)
-        assert index.index_digest() == index_digest_of(reference)
-        assert index.index_digest() != index_digest_of(graph)
+        delta.apply_to_graph(reference)
+        assert index.index_digest() == index_digest_of(
+            CSRGraph.from_graph(reference)
+        )
+        assert index.index_digest() != index_digest_of(CSRGraph.from_graph(graph))
 
     def test_graph_and_csr_views_describe_one_epoch(self):
+        """The index's arrays and a dict twin replayed with apply_to_graph
+        stay one index, epoch after epoch."""
         graph = random_connected_graph(25, 0.2, seed=9)
-        index = VersionedIndex(graph.copy())
-        assert not index.csr_built
-        _ = index.csr  # force the lazy build, then mutate
+        index = VersionedIndex(CSRGraph.from_graph(graph))
         rng = random.Random(6)
-        index.apply(delta_for(index.graph, rng))
-        assert index_digest_of(index.graph) == index_digest_of(csr=index.csr)
+        for _ in range(3):
+            delta = delta_for(graph, rng)
+            index.apply(delta)
+            delta.apply_to_graph(graph)
+            assert_same_index(index.csr, graph)
 
     def test_apply_is_all_or_nothing(self):
-        graph = Graph(edges=[(0, 1), (1, 2)])
-        index = VersionedIndex(graph)
-        _ = index.csr
+        index = VersionedIndex(CSRGraph.from_graph(Graph(edges=[(0, 1), (1, 2)])))
+        before = index.csr
         bad = GraphDelta(inserts=((0, 2),), deletes=((7, 8),))
         with pytest.raises(DeltaError):
             index.apply(bad)
         assert index.epoch == 0
-        assert not graph.has_edge(0, 2)
+        assert index.csr is before
         assert not csr_has_edge(index.csr, 0, 2)
         with pytest.raises(DeltaError, match="takes a GraphDelta"):
             index.apply({"insert": [[0, 2]]})
 
     def test_deltas_since_semantics(self):
         graph = random_connected_graph(25, 0.2, seed=11)
-        index = VersionedIndex(graph.copy())
+        index = VersionedIndex(CSRGraph.from_graph(graph))
         rng = random.Random(12)
         applied = []
         for _ in range(3):
-            delta = delta_for(index.graph, rng)
+            delta = delta_for(index.csr.to_graph(), rng)
             index.apply(delta)
             applied.append(delta)
         assert index.deltas_since(3) == ()  # up-to-date peer
         assert index.deltas_since(1) == tuple(applied[1:])  # oldest first
         assert index.deltas_since(0) == tuple(applied)
         assert index.deltas_since(4) is None  # peer is ahead: diverged
-        behind = VersionedIndex(graph.copy(), epoch=5)
+        behind = VersionedIndex(CSRGraph.from_graph(graph), epoch=5)
         assert behind.deltas_since(3) is None  # before the retained window
 
     def test_align_renumbers_without_touching_content(self):
         graph = random_connected_graph(25, 0.2, seed=13)
-        index = VersionedIndex(graph.copy())
+        index = VersionedIndex(CSRGraph.from_graph(graph))
         digest = index.index_digest()
         index.align(7)
         assert index.epoch == 7
@@ -352,9 +312,9 @@ class TestVersionedIndex:
         delta = delta_for(graph, rng)
         index.apply(delta)
         delta.apply_to_graph(graph)
-        assert index.index_digest() == index_digest_of(graph)
-        with pytest.raises(GraphError):
-            VersionedIndex()
+        assert index.index_digest() == index_digest_of(CSRGraph.from_graph(graph))
+        with pytest.raises(GraphError, match="takes a CSRGraph"):
+            VersionedIndex(graph)
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +324,7 @@ class TestIndexDigestProperties:
     def test_any_single_op_changes_the_digest(self):
         rng = random.Random(23)
         graph = random_connected_graph(30, 0.15, seed=23)
-        baseline = index_digest_of(graph)
+        baseline = index_digest_of(CSRGraph.from_graph(graph))
         edges = sorted(graph.edges(), key=repr)
         nodes = sorted(graph.nodes())
         for _ in range(10):
@@ -378,10 +338,10 @@ class TestIndexDigestProperties:
                     if not graph.has_edge(u, v):
                         break
                 GraphDelta(inserts=((u, v),)).apply_to_graph(probe)
-            assert index_digest_of(probe) != baseline
+            assert index_digest_of(CSRGraph.from_graph(probe)) != baseline
 
     def test_digest_agrees_across_backends_under_mutation(self):
-        """A graph-holding service and an arrays-only replica of it digest
+        """A graph-built service and a bare-CSR replica of it digest
         identically at every epoch."""
         rng = random.Random(29)
         dict_service = ConnectorService(random_connected_graph(30, 0.15, 29))
@@ -493,9 +453,9 @@ class TestServiceApplyDelta:
                 assert_connector_identical(csr_service.solve(query), cold)
 
     def test_mutating_a_submitted_graph_does_not_corrupt_answers(self):
-        # The defensive-copy regression: the service owns a private copy,
-        # so callers mutating their graph afterwards (without going
-        # through apply_delta) change nothing the service serves.
+        # The private-index regression: the service packs its own arrays
+        # at construction, so callers mutating their graph afterwards
+        # (without going through apply_delta) change nothing it serves.
         graph = random_connected_graph(30, 0.15, seed=53)
         pristine = graph.copy()
         service = ConnectorService(graph)
