@@ -101,7 +101,7 @@ async def over_the_wire(port: int) -> None:
         await client.solve(query)
         await client.solve(query)  # warm the daemon's caches
 
-        # The mutate op is pure JSON: no pickles on the untrusted surface.
+        # The mutate op is plain JSON, like every op on every wire.
         epoch = await client.mutate({"insert": [[0, 50]], "delete": []})
         print(f"daemon accepted the delta; now serving epoch {epoch}")
 

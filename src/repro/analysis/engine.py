@@ -3,8 +3,8 @@
 Nine PRs of serving infrastructure rest on contracts that used to be
 enforced only by reviewer vigilance: routing and cache keys must go
 through :meth:`SolveOptions.stable_digest` and never the
-PYTHONHASHSEED-salted ``hash()``, pickle stays confined to the trusted
-shard wire, the asyncio loop thread never blocks, long-lived serving
+PYTHONHASHSEED-salted ``hash()``, no wire carries pickles (every one is
+plain JSON), the asyncio loop thread never blocks, long-lived serving
 state is bounded, transport failures speak the typed taxonomy, RNGs are
 seeded, and nothing bit-identical reads the wall clock.  Each rule here
 encodes one of those contracts as a mechanical check so the lesson of
@@ -110,8 +110,9 @@ class Rule:
 
     ``scope`` is a tuple of canonical path prefixes (or exact files)
     the rule applies to; empty means every linted file.  Scoping lives
-    on the rule, not the caller, so policy (``pickle is legal on the
-    shard wire but nowhere else``) is versioned next to the check.
+    on the rule, not the caller, so policy (``no bare RuntimeError in
+    the sharded router and the serving layer``) is versioned next to the
+    check.
     """
 
     id: str = ""

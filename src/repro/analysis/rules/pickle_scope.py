@@ -1,14 +1,10 @@
-"""RPR003 — pickle stays on the trusted-cluster shard wire.
+"""RPR003 — no pickle anywhere in ``src/repro``.
 
-The client-facing protocol (``serving/protocol.py``) is pure JSON by
-contract: clients are untrusted and ``pickle.loads`` on attacker bytes
-is arbitrary code execution.  Pickle is legal exactly where the wire is
-operator-controlled — the shard transport (``serving/remote.py``) and
-its codec module (``serving/pickled.py``).  The rule flags pickle-family
-imports, ``pickle.loads``/``dumps`` attribute use, and calls to the
-project's ``encode_pickled``/``decode_pickled`` helpers anywhere else in
-the package.  Re-exporting the helpers (a bare import for compatibility)
-is allowed; *calling* them outside the allowlist is not.
+Every wire of the tower (gateway, shard sweep, mutate, catch-up) speaks
+plain JSON lines, and ``pickle.loads`` on a peer's bytes is arbitrary
+code execution.  The rule flags pickle-family imports and
+``pickle.loads``/``dumps`` attribute use in every file of the package;
+nothing is exempt.
 """
 
 from __future__ import annotations
@@ -29,27 +25,18 @@ PICKLE_MODULES = {
     "marshal",
 }
 
-PICKLE_HELPERS = {"encode_pickled", "decode_pickled"}
-
 
 class PickleScopeRule(Rule):
     id = "RPR003"
     severity = "error"
-    description = (
-        "pickle outside the trusted shard wire "
-        "(serving/pickled.py, serving/remote.py)"
-    )
+    description = "no pickle-family import or call anywhere in src/repro"
     scope = ("repro/",)
-    allow = ("repro/serving/pickled.py", "repro/serving/remote.py")
     rationale = (
-        "Standing contract since PR 6: the client protocol is pure JSON "
-        "because clients are untrusted and unpickling attacker-supplied "
-        "bytes executes arbitrary code.  Pickle is confined to the "
-        "shard transport, where both endpoints are spawned by the same "
-        "operator — serving/pickled.py (the codec) and "
-        "serving/remote.py (the wire).  Everywhere else, importing a "
-        "pickle-family module or calling encode_pickled/decode_pickled "
-        "is a protocol-boundary violation."
+        "Every wire of the tower speaks plain JSON: the client gateway, "
+        "and since the shard sweep op carries vertex indices, the shard "
+        "links too.  Unpickling a peer's bytes executes arbitrary code, "
+        "so importing a pickle-family module or calling one anywhere in "
+        "src/repro is a protocol-boundary violation, with no allowlist."
     )
 
     def visit(self, tree: ast.AST, source: str, path: str) -> list[Finding]:
@@ -64,7 +51,7 @@ class PickleScopeRule(Rule):
                                 path,
                                 node,
                                 f"import of pickle-family module "
-                                f"{alias.name!r} outside the shard wire",
+                                f"{alias.name!r} in src/repro",
                             )
                         )
             elif isinstance(node, ast.ImportFrom):
@@ -75,7 +62,7 @@ class PickleScopeRule(Rule):
                             path,
                             node,
                             f"import from pickle-family module "
-                            f"{node.module!r} outside the shard wire",
+                            f"{node.module!r} in src/repro",
                         )
                     )
             elif isinstance(node, ast.Call):
@@ -89,20 +76,8 @@ class PickleScopeRule(Rule):
                         self.finding(
                             path,
                             node,
-                            f"{func.value.id}.{func.attr}() outside the "
-                            "shard wire; the client protocol is pure JSON",
-                        )
-                    )
-                elif (
-                    isinstance(func, ast.Name) and func.id in PICKLE_HELPERS
-                ):
-                    findings.append(
-                        self.finding(
-                            path,
-                            node,
-                            f"{func.id}() call outside the shard wire; "
-                            "pickle framing is for operator-controlled "
-                            "links only",
+                            f"{func.value.id}.{func.attr}(); every wire "
+                            "of the tower is plain JSON",
                         )
                     )
         return findings

@@ -42,26 +42,10 @@ class ConnectorResult:
     method: str = ""
     metadata: dict = field(default_factory=dict, compare=False)
 
-    #: ``cached_property`` values recomputable from ``host`` + ``nodes``;
-    #: stripped from pickles so a result crossing a process boundary (the
-    #: parallel and sharded serving layers ship results back to routers)
-    #: never drags a materialized subgraph along.  They repopulate lazily
-    #: on first access after unpickling, bit-identically.
-    _DERIVED = ("subgraph", "wiener_index", "density")
-
     def __post_init__(self) -> None:
         if not self.query <= self.nodes:
             missing = set(self.query) - set(self.nodes)
             raise ValueError(f"solution drops query vertices: {sorted(map(repr, missing))}")
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        for name in self._DERIVED:
-            state.pop(name, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     @cached_property
     def subgraph(self) -> Graph:

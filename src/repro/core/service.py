@@ -27,10 +27,11 @@ rebuilt the CSR arrays, re-ran every root BFS, and threw all of it away.
   so repeated and overlapping queries are answered from cache with
   *bit-identical* connectors;
 * **array-shipping replicas** — :meth:`ConnectorService.worker_payload`
-  carries the two CSR int arrays (plus the label list), never a pickled
+  carries the two CSR int arrays (plus the label list), never a dict
   ``Graph``; :func:`service_from_payload` rebuilds a replica from them.
   The persistent shard ring of :mod:`repro.core.sharded` is the one way
-  to run sweeps in parallel.
+  to run sweeps in parallel, and its wire names vertices by index
+  (:meth:`ConnectorService.labels_at` / :meth:`ConnectorService.indices_of`).
 
 Identity contract
 -----------------
@@ -161,12 +162,13 @@ class ServiceStats:
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """The picklable outcome of one λ×root sweep (label space).
+    """The outcome of one λ×root sweep, in label space.
 
-    This is the unit the sharded serving layer ships between processes:
-    everything a router needs to build a
-    :class:`~repro.core.result.ConnectorResult`, and nothing it does not
-    (no host graph, no subgraph).
+    The unit a shard replica answers with: everything a router needs to
+    build a :class:`~repro.core.result.ConnectorResult`, and nothing it
+    does not (no host graph, no subgraph).  On the shard wire it travels
+    as plain JSON in index space, ``nodes`` and ``root`` as vertex
+    indices (see :mod:`repro.serving.protocol`).
     """
 
     nodes: frozenset
@@ -175,6 +177,39 @@ class SweepOutcome:
     candidates: int
     key: float
     runtime_seconds: float
+
+    def to_payload(self, indices_of) -> dict:
+        """The sweep reply's fields, vertices as indices (``indices_of``)."""
+        (root,) = indices_of([self.root])
+        return {
+            "nodes": sorted(indices_of(self.nodes)),
+            "root": root,
+            "lambda": self.lam,
+            "candidates": self.candidates,
+            "key": self.key,
+            "runtime_seconds": self.runtime_seconds,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict, labels_at) -> "SweepOutcome":
+        """Inverse of :meth:`to_payload`; raises ``KeyError``, ``TypeError``
+        or ``ValueError`` on a missing, mistyped or out-of-range field."""
+        (root,) = labels_at([payload["root"]])
+        outcome = cls(
+            nodes=frozenset(labels_at(payload["nodes"])),
+            root=root,
+            lam=payload["lambda"],
+            candidates=payload["candidates"],
+            key=payload["key"],
+            runtime_seconds=payload["runtime_seconds"],
+        )
+        lam = 0.0 if outcome.lam is None else outcome.lam
+        if type(outcome.candidates) is not int or not all(
+            type(value) in (int, float)
+            for value in (lam, outcome.key, outcome.runtime_seconds)
+        ):
+            raise ValueError("a sweep reply field has the wrong JSON type")
+        return outcome
 
 
 class ConnectorService:
@@ -263,6 +298,28 @@ class ConnectorService:
         """Reprs of the given vertices the graph does not hold, sorted."""
         index_of = self._versioned.csr.index_of
         return sorted(repr(v) for v in vertices if v not in index_of)
+
+    def labels_at(self, indices) -> list:
+        """The labels at ``indices``, a list of plain ints in ``[0, n)``.
+
+        The shard wire's decoder: anything else raises ``ValueError``, as
+        a Python list would index ``-1`` or ``True`` to a wrong vertex.
+        """
+        node_of = self._versioned.csr.node_of
+        n = len(node_of)
+        if not isinstance(indices, list) or not all(
+            type(i) is int and 0 <= i < n for i in indices
+        ):
+            raise ValueError(
+                f"vertex indices must be a list of ints in [0, {n}), "
+                f"got {indices!r:.80}"
+            )
+        return [node_of[i] for i in indices]
+
+    def indices_of(self, labels) -> list[int]:
+        """The indices of ``labels``, all in the graph: the wire's encoder."""
+        index_of = self._versioned.csr.index_of
+        return [index_of[v] for v in labels]
 
     def _validate(self, query_set: frozenset) -> None:
         if not query_set:
@@ -512,7 +569,7 @@ class ConnectorService:
     def sweep(
         self, query: Iterable[Node], options: SolveOptions | None = None
     ) -> SweepOutcome:
-        """Run one λ×root sweep and return its picklable outcome.
+        """Run one λ×root sweep and return its outcome.
 
         This is the *shard-side worker API*: a shard replica serves it,
         and the router turns the outcome into a :class:`ConnectorResult`.
@@ -557,10 +614,10 @@ class ConnectorService:
         *,
         cache_limits: dict | None = None,
     ) -> dict:
-        """The picklable seed of a worker-side replica of this service.
+        """The seed of a worker-side replica of this service.
 
         That is the two CSR int arrays plus the label list — orders of
-        magnitude less pickling than a dict-of-sets ``Graph``.
+        magnitude smaller than a dict-of-sets ``Graph``.
         ``cache_limits`` forwards ``max_cached_*`` constructor bounds to
         the replica, so a sharded deployment can pin every shard's memory
         footprint.

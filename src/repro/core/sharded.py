@@ -30,8 +30,9 @@ designed for — so the router stays small:
 * **a thin router** — :meth:`~ShardedConnectorService.solve_many`
   validates locally, dedupes identical in-flight keys (duplicates within
   a batch are sent once and fan back out to every position), preserves
-  request order, and turns the shards' picklable
-  :class:`~repro.core.service.SweepOutcome` replies into
+  request order, and turns the shards' plain-JSON sweep replies, which
+  name vertices by index into the digest-pinned index, back into
+  :class:`~repro.core.service.SweepOutcome` and
   :class:`~repro.core.result.ConnectorResult` objects, each built on the
   connector's induced subgraph exactly as a single service builds it.
 
@@ -49,8 +50,9 @@ carry the health surface.  Transport failures raise
 connect/handshake time, :class:`ShardLinkError` on an established link —
 so the router can tell a topology problem from a mid-flight death.
 
-* **Shard-side request faults** (a poisoned query) ship back as
-  exception values and fail only that request.  Always.
+* **Shard-side request faults** (a poisoned query) ship back as an
+  error type and message, re-raised as that :mod:`repro.errors` class,
+  and fail only that request.  Always.
 * **With ``replication=1``** (the default) a dead shard — local process
   OOM-killed, remote daemon gone, socket reset — poisons any half-served
   batch, so the router fails the batch with one clean ``RuntimeError``
@@ -136,8 +138,8 @@ and ``replication=2`` makes any single replica's death survivable::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import multiprocessing
 import os
 import time
 from bisect import bisect_right
@@ -152,6 +154,7 @@ from repro.core.retry import BackoffPolicy, RetrySchedule
 from repro.core.service import (
     ConnectorService,
     ServiceStats,
+    SweepOutcome,
     cache_hit_rate,
     service_from_payload,
 )
@@ -193,8 +196,9 @@ class ShardConnectError(ShardTransportError):
 
 class ShardLinkError(ShardTransportError):
     """An established link broke in flight: a mid-write reset, the peer
-    closing mid-stream, or a reply the router cannot parse (pickle or
-    protocol skew) — the link has lost sync and must be abandoned."""
+    closing mid-stream, or a reply the router cannot parse (malformed
+    JSON, or a vertex index outside the router's index) — the link has
+    lost sync and must be abandoned."""
 
 
 #: What the router catches from a transport call: the link is dead or
@@ -221,18 +225,16 @@ class ShardTransport(Protocol):
     """
 
     def submit(
-        self,
-        request_id: int,
-        query_tuple: tuple,
-        options: SolveOptions,
-        epoch: int | None = None,
+        self, request_id: int, query: list, options: dict, epoch: int
     ) -> None:
         """Send one sweep request; the reply arrives via :meth:`drain`.
 
-        ``epoch`` stamps the graph version the router dispatched at; a
-        replica serving a different version refuses the sweep with a
-        :class:`ShardLinkError` value rather than answering from the
-        wrong graph.
+        ``query`` is the sorted vertex indices and ``options`` the JSON
+        options object (roots as indices) of the sweep op.  ``epoch``
+        stamps the graph version the router dispatched at; a replica
+        serving a different version refuses the sweep, surfaced as a
+        :class:`ShardLinkError`, rather than answering from the wrong
+        graph.
         """
         ...  # pragma: no cover - protocol definition
 
@@ -253,8 +255,9 @@ class ShardTransport(Protocol):
         """Every reply currently available, without blocking.
 
         Each reply is ``(request_id, "ok" | "error", value)`` — the value
-        is a :class:`~repro.core.service.SweepOutcome`, a
-        :class:`ServiceStats`, or the shard-side exception.
+        is a sweep reply's JSON object (in index space: only the router
+        holds the index to decode it against), a :class:`ServiceStats`,
+        a mutate's new epoch, or the shard-side exception.
         """
         ...  # pragma: no cover - protocol definition
 
@@ -398,6 +401,19 @@ class _HashRing:
         return chosen
 
 
+def _wire_options(options: SolveOptions, indices_of) -> dict:
+    """The sweep op's ``options`` object: the gateway's fields by name,
+    only those that differ from the defaults, roots as vertex indices."""
+    payload = {
+        field.name: getattr(options, field.name)
+        for field in dataclasses.fields(SolveOptions)
+        if getattr(options, field.name) != field.default
+    }
+    if "roots" in payload:
+        payload["roots"] = indices_of(payload["roots"])
+    return payload
+
+
 def _shard_main(connection, payload: dict) -> None:
     """The body of a local shard's child process: a shard host on one link.
 
@@ -426,15 +442,15 @@ def _shard_main(connection, payload: dict) -> None:
 class _InflightRequest:
     """One scattered request: its key, payload, and current placement."""
 
-    __slots__ = ("request_id", "key", "query_tuple", "options", "replicas",
+    __slots__ = ("request_id", "key", "query", "options", "replicas",
                  "shard", "kind")
 
-    def __init__(self, request_id, key, query_tuple, options, replicas,
+    def __init__(self, request_id, key, query, options, replicas,
                  kind="sweep") -> None:
         self.request_id = request_id
         self.key = key
-        self.query_tuple = query_tuple
-        self.options = options
+        self.query = query  # sorted vertex indices
+        self.options = options  # the sweep op's JSON options object
         self.replicas = replicas  # primary order; failover walks this
         self.shard = None  # the slot currently serving it
         self.kind = kind  # "sweep" | "mutate" | "stats"
@@ -599,9 +615,6 @@ class ShardedConnectorService:
         Forwarded to every *local* shard replica, bounding per-shard
         memory (a remote daemon's bounds were fixed by whoever started
         it).
-    mp_context:
-        The :mod:`multiprocessing` context that starts local shard
-        children (default: the platform's default context).
     """
 
     #: Most requests a shard may have in flight before the router drains
@@ -629,7 +642,6 @@ class ShardedConnectorService:
         max_cached_candidates: int | None = 4096,
         max_cached_scores: int | None = 4096,
         max_cached_results: int | None = 1024,
-        mp_context=None,
     ) -> None:
         if shards is not None:
             if n_shards is not None:
@@ -685,7 +697,6 @@ class ShardedConnectorService:
         self._payload = self._local.worker_payload(
             cache_limits=self._cache_limits
         )
-        self._ctx = mp_context if mp_context is not None else multiprocessing.get_context()
         self._specs: dict[int, object] = {}
         self._shards: dict[int, ShardTransport] = {}
         self._down: dict[int, _DownShard] = {}
@@ -718,9 +729,7 @@ class ShardedConnectorService:
         # epoch the ring serves now, and offer a daemon the catch-up
         # deltas it missed while down.
         if spec == "local":
-            return LocalShardTransport(
-                shard_id, payload=lambda: self._payload, mp_context=self._ctx
-            )
+            return LocalShardTransport(shard_id, payload=lambda: self._payload)
         host, port = spec
         return RemoteShardTransport(
             shard_id,
@@ -962,7 +971,7 @@ class ShardedConnectorService:
             try:
                 self._shards[shard_id].submit(
                     record.request_id,
-                    record.query_tuple,
+                    record.query,
                     record.options,
                     self._local.epoch,
                 )
@@ -1041,18 +1050,21 @@ class ShardedConnectorService:
         Distinct keys are scattered to their home shards and solved
         concurrently; identical in-flight keys are sent once and every
         duplicate position receives the same result object.  The shard
-        wire carries ws-q sweeps only, so the router's local service
-        answers non-``ws-q`` methods, with the same results.
+        wire carries ws-q sweeps over vertex indices only, so the router's
+        local service answers non-``ws-q`` methods, and roots outside the
+        graph (they have no index), with the same results as in-process.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
         opts = self._local._merge(options)
         query_sets = [frozenset(query) for query in queries]
-        if opts.method != "ws-q":
+        if opts.method != "ws-q" or self._local._missing(opts.roots or ()):
             return [self._local.solve(query_set, opts) for query_set in query_sets]
         for query_set in query_sets:
             self._local._validate(query_set)
         self._heal()
+        indices_of = self._local.indices_of
+        wire_options = _wire_options(opts, indices_of)
 
         # Dedupe identical in-flight keys and scatter one request each.
         # Draining is interleaved with scattering: a socket buffers
@@ -1070,8 +1082,8 @@ class ShardedConnectorService:
             record = _InflightRequest(
                 request_id=self._take_request_id(),
                 key=query_set,
-                query_tuple=tuple(sorted(query_set, key=repr)),
-                options=opts,
+                query=sorted(indices_of(query_set)),
+                options=wire_options,
                 replicas=self._route(request_digest(query_set, opts)),
             )
             target = self._preferred_live(record)
@@ -1135,7 +1147,10 @@ class ShardedConnectorService:
                     state.pending.pop(shard_id, None)
                     continue
                 try:
-                    replies = transport.drain()
+                    replies = [
+                        self._decoded(reply, state, shard_id)
+                        for reply in transport.drain()
+                    ]
                 except _TRANSPORT_FAILURES:
                     self._shard_down(shard_id, state, mid_batch=True)
                     progressed = True
@@ -1191,6 +1206,26 @@ class ShardedConnectorService:
                     state.activity[shard_id] = now  # alive, just slow
                 else:
                     self._shard_down(shard_id, state, mid_batch=True)
+
+    def _decoded(self, reply: tuple, state: _BatchState, shard_id: int) -> tuple:
+        """One drained reply, a sweep's value decoded to ``(epoch, outcome)``.
+
+        Only the router holds the index a reply's vertex indices point
+        into, so it decodes them before any bookkeeping: a malformed reply
+        fails the link like bad JSON, and its sweeps fail over."""
+        request_id, status, value = reply
+        record = state.inflight.get(request_id)
+        if status != "ok" or record is None or record.kind != "sweep":
+            return reply
+        try:
+            outcome = SweepOutcome.from_payload(value, self._local.labels_at)
+            if not record.key <= outcome.nodes:
+                raise ValueError("the connector drops query vertices")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ShardLinkError(
+                f"shard {shard_id} sent an unparsable sweep reply: {exc}"
+            ) from exc
+        return request_id, status, (value.get("epoch"), outcome)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -1269,7 +1304,7 @@ class ShardedConnectorService:
             record = _InflightRequest(
                 request_id=self._take_request_id(),
                 key=None,
-                query_tuple=None,
+                query=None,
                 options=None,
                 replicas=(shard_id,),
                 kind=kind,

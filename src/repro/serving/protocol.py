@@ -5,10 +5,10 @@ object — the simplest protocol that still supports pipelining (a client
 may send many requests before reading a response; the ``id`` field pairs
 them back up, since responses come back in *completion* order).
 
-Two services speak it:
+Two services speak it, and no line on either carries anything but plain
+JSON:
 
-**The public gateway** (:mod:`repro.serving.server`), a pure-JSON surface
-for untrusted clients:
+**The public gateway** (:mod:`repro.serving.server`):
 
 * ``{"query": [v, ...], "options": {...}?, "id": ...?}`` — solve one
   query.  ``options`` holds :class:`~repro.core.options.SolveOptions`
@@ -20,9 +20,8 @@ for untrusted clients:
   graph one epoch.  ``delta`` is the pure-JSON payload of a
   :class:`~repro.core.versioned.GraphDelta` (``"insert"``/``"delete"``
   lists of endpoint pairs, ``"reweight"`` triples); the success response
-  carries the new ``"epoch"``.  No pickles — this op is safe on the
-  untrusted surface because ``GraphDelta.from_payload`` validates shape
-  and content and the apply is all-or-nothing.
+  carries the new ``"epoch"``.  ``GraphDelta.from_payload`` validates
+  shape and content, and the apply is all-or-nothing.
 * ``{"op": "shutdown", "id": ...?}`` — acknowledge, then gracefully stop
   the whole server (the operation the tests' clean-teardown assertions
   drive).
@@ -40,19 +39,21 @@ forks alike.  Same framing, extra ops and version stamping:
   silently break the bit-identity contract.  A digest refusal reports
   the daemon's ``"epoch"`` so the router can bridge the gap with
   catch-up.  A local shard's link starts handshaken and never sends it.
-* ``{"op": "sweep", "request": b64, "epoch": n, "id": ...}`` — one
-  λ×root sweep.  ``request`` is
-  :func:`~repro.serving.pickled.encode_pickled` of
-  ``(query_tuple, options)`` and the success response carries
-  ``"outcome"``, the same encoding of the shard's
-  :class:`~repro.core.service.SweepOutcome` — so the router rebuilds
-  :class:`~repro.core.result.ConnectorResult` objects identical to an
-  in-process solve — plus the serving ``"epoch"``.  A version-skewed
-  sweep is refused with ``error_type: "EpochMismatch"`` (the router
-  treats the link as stale and fails over), never answered from the
-  wrong graph.  Failure
-  responses may carry the pickled original exception under
-  ``"exception"`` so shard-side faults re-raise with their real type.
+* ``{"op": "sweep", "query": [i, ...], "options": {...}, "epoch": n,
+  "id": ...}`` — one λ×root sweep in *index space* (equal handshake
+  digests mean equal indices): ``query`` is the sorted vertex indices,
+  ``options`` the gateway's options object holding only non-default
+  fields, ``roots`` as indices, and ``epoch`` (required) the version the
+  router dispatched at.  The success response is the shard's
+  :class:`~repro.core.service.SweepOutcome` — ``"nodes"`` (sorted
+  indices), ``"root"`` (an index), ``"lambda"``, ``"candidates"``,
+  ``"key"``, ``"runtime_seconds"`` — plus the serving ``"epoch"``.  Both
+  ends accept only plain ints in ``[0, n)``: a malformed request fails
+  only itself, a malformed reply fails the link.  A version-skewed sweep
+  is refused with ``error_type: "EpochMismatch"`` (the router fails the
+  stale link over), never answered from the wrong graph.  A request
+  fault carries only ``error`` and ``error_type``, re-raised on the
+  router as the :mod:`repro.errors` class of that name.
 * ``{"op": "mutate", "delta": {...}, "id": ...}`` — same payload as the
   gateway's mutate: apply one :class:`~repro.core.versioned.GraphDelta`
   to the replica, acknowledge with the new ``"epoch"``.
@@ -61,10 +62,6 @@ forks alike.  Same framing, extra ops and version stamping:
   ``hello`` was refused for a digest mismatch, it replays one delta the
   daemon missed while its link was down; the router sends the retained
   suffix oldest-first, then re-runs ``hello``.
-
-The pickled payloads make the sweep op a **trusted-cluster** format:
-never expose a shard host to untrusted peers (unpickling attacker bytes
-executes code).  The gateway's client-facing ops stay pure JSON.
 
 Responses
 ---------

@@ -6,8 +6,9 @@ a :class:`~repro.core.sharded.ShardedConnectorService` router (and
 therefore one :class:`~repro.core.gateway.AsyncGateway` / ``repro serve``
 daemon) fronting shard replicas that may live on *other machines*.  Every
 replica, local or remote, speaks one wire — the JSON-lines format of
-:mod:`repro.serving.protocol` extended with the ``sweep`` op (pickled
-:class:`~repro.core.service.SweepOutcome` payloads).  Three pieces:
+:mod:`repro.serving.protocol` extended with the ``sweep`` op, which names
+vertices by index (equal handshake digests mean equal indices).  Three
+pieces:
 
 * :class:`ShardHostServer` — one
   :class:`~repro.core.service.ConnectorService` replica behind that wire.
@@ -66,8 +67,9 @@ Failure semantics: what fails, what degrades, what heals
 Three distinct layers, three distinct behaviors:
 
 * **Request faults fail the request.**  A poisoned query travels back as
-  a pickled exception value and fails only that request.  Always, at
-  every replication factor.
+  its exception's type name and message, is re-raised on the router as
+  the :mod:`repro.errors` class of that name, and fails only that
+  request.  Always, at every replication factor.
 * **Link faults fail the *link*, typed by when they struck.**  Every
   transport failure raises a
   :class:`~repro.core.sharded.ShardTransportError` subclass the router
@@ -76,8 +78,9 @@ Three distinct layers, three distinct behaviors:
   mismatch, a non-protocol peer such as an HTTP server on the wrong
   port) and :class:`~repro.core.sharded.ShardLinkError` when an
   established link broke (mid-write reset, peer closed mid-stream, an
-  unparsable or pickle-skewed reply — protocol sync is gone, the link is
-  unusable).  What the router *does* with a dead link depends on its
+  unparsable reply, say one naming a vertex index the router does not
+  hold — protocol sync is gone, the link is unusable).  What the router
+  *does* with a dead link depends on its
   replication factor: with ``replication=1`` it fails the in-flight
   batch and closes the sharded service (the historical close-on-death);
   with ``replication>=2`` it fails over — the in-flight sweeps re-run on
@@ -108,31 +111,26 @@ share it), so tearing down a router never tears down a host.  Use
 :func:`shutdown_shard_host` (or the ``shutdown`` op) to stop a daemon
 remotely — ``repro shard-host`` exits 0 on it — and
 :func:`ping_shard_host` (or ``repro ping``) as the handshake-free health
-probe for supervisors.
-
-Trust model: the ``sweep`` op carries pickles, so shard hosts must only
-be reachable from trusted routers (a private cluster network), never
-from end-user clients — those talk to the pure-JSON gateway instead.  A
-local shard opens no port at all: its socketpair is ``AF_UNIX`` and only
-the router holds the other end.
+probe for supervisors.  A local shard opens no port at all: its
+socketpair is ``AF_UNIX`` and only the router holds the other end.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import socket
 import socketserver
 import threading
 import time
 
+from repro import errors
 from repro.core import sharded
-from repro.core.options import SolveOptions
 from repro.core.service import ConnectorService, ServiceStats
 from repro.core.sharded import ShardConnectError, ShardLinkError
 from repro.core.versioned import GraphDelta
 from repro.errors import ServerStateError
-from repro.serving.pickled import decode_pickled, encode_pickled
-from repro.serving.protocol import decode_line, encode_line
+from repro.serving.protocol import decode_line, encode_line, options_from_payload
 
 __all__ = [
     "LocalShardTransport",
@@ -188,8 +186,8 @@ class _ShardHostTCPServer(socketserver.ThreadingTCPServer):
 class ShardHostServer:
     """Serve one :class:`ConnectorService` replica's sweeps over the shard wire.
 
-    Ops: ``hello`` (digest handshake), ``sweep`` (one λ×root sweep,
-    pickled outcome), ``mutate``/``catchup`` (one graph delta), ``stats``
+    Ops: ``hello`` (digest handshake), ``sweep`` (one λ×root sweep, in
+    vertex indices), ``mutate``/``catchup`` (one graph delta), ``stats``
     (a :class:`ServiceStats` snapshot as JSON plus a ``host`` sub-object
     with daemon-level health: uptime, sweeps served, connections active),
     ``ping`` and ``shutdown``.  :meth:`start` serves them over TCP, one
@@ -457,44 +455,40 @@ class ShardHostServer:
         }
 
     def _sweep(self, message: dict) -> dict:
-        query_tuple, options = decode_pickled(message["request"])
-        if not isinstance(options, SolveOptions):
-            raise ValueError(
-                f"sweep options must be SolveOptions, got {type(options).__name__}"
-            )
+        """One λ×root sweep in vertex indices.  The epoch is required, so
+        the version check never depends on the router sending one; a
+        malformed request raises, and so fails only itself."""
         expected = message.get("epoch")
-        try:
-            with self._lock:
-                # Checked and served under one lock: a concurrent mutate
-                # cannot slip between the version check and the sweep, so
-                # the stamped epoch is exactly the one that answered.
-                epoch = self._service.epoch
-                if expected is not None and expected != epoch:
-                    return {
-                        "ok": False,
-                        "error": (
-                            f"sweep dispatched at epoch {expected} but "
-                            f"this shard host serves epoch {epoch}"
-                        ),
-                        "error_type": "EpochMismatch",
-                        "epoch": epoch,
-                    }
-                outcome = self._service.sweep(query_tuple, options)
-                self.sweeps_served += 1
-        except Exception as exc:
-            # The shard-side fault travels as a value: the router
-            # re-raises the original exception type when it can.
-            response = {
-                "ok": False,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            }
-            try:
-                response["exception"] = encode_pickled(exc)
-            except Exception:  # pragma: no cover - unpicklable exception
-                pass
-            return response
-        return {"ok": True, "outcome": encode_pickled(outcome), "epoch": epoch}
+        if type(expected) is not int:
+            raise ValueError(
+                f"a sweep must carry an integer epoch, got {expected!r}"
+            )
+        with self._lock:
+            # Checked, decoded and served under one lock: no mutate can
+            # slip in between, so the indices and the stamped epoch are
+            # the ones that answered.
+            service = self._service
+            epoch = service.epoch
+            if expected != epoch:
+                return {
+                    "ok": False,
+                    "error": (
+                        f"sweep dispatched at epoch {expected} but "
+                        f"this shard host serves epoch {epoch}"
+                    ),
+                    "error_type": "EpochMismatch",
+                    "epoch": epoch,
+                }
+            query = service.labels_at(message.get("query"))
+            options = options_from_payload(message.get("options"))
+            if options.roots is not None:
+                options = options.replace(
+                    roots=service.labels_at(list(options.roots))
+                )
+            outcome = service.sweep(query, options)
+            self.sweeps_served += 1
+            reply = outcome.to_payload(service.indices_of)
+        return {"ok": True, **reply, "epoch": epoch}
 
     def _apply_delta(self, message: dict) -> dict:
         """Advance this replica one epoch (the ``mutate``/``catchup`` ops)."""
@@ -583,7 +577,6 @@ class RemoteShardTransport:
         digest,
         epoch=0,
         catchup=None,
-        connect_timeout: float = CONNECT_TIMEOUT_SECONDS,
         heartbeat_interval: float | None = None,
         probe_timeout: float = 5.0,
     ) -> None:
@@ -597,7 +590,6 @@ class RemoteShardTransport:
         self._digest_of = digest if callable(digest) else (lambda: digest)
         self._epoch_of = epoch if callable(epoch) else (lambda: epoch)
         self._catchup = catchup
-        self._connect_timeout = connect_timeout
         self._probe_timeout = probe_timeout
         self._heartbeat_interval = heartbeat_interval
         self._buffer = bytearray()
@@ -616,7 +608,7 @@ class RemoteShardTransport:
         self._buffer.clear()
         try:
             self._sock = socket.create_connection(
-                (self._host, self._port), timeout=self._connect_timeout
+                (self._host, self._port), timeout=CONNECT_TIMEOUT_SECONDS
             )
         except OSError as exc:
             self._sock = None
@@ -664,7 +656,7 @@ class RemoteShardTransport:
                 "id": None,
             })
         )
-        return self._handshake_reply(self._connect_timeout)
+        return self._handshake_reply()
 
     def _negotiate_catchup(self, refusal: dict) -> dict:
         """Try to bridge a digest refusal by replaying missed deltas.
@@ -695,7 +687,7 @@ class RemoteShardTransport:
                     {"op": "catchup", "delta": delta.to_payload(), "id": None}
                 )
             )
-            step = self._handshake_reply(self._connect_timeout)
+            step = self._handshake_reply()
             if not step.get("ok"):
                 return step
         return self._say_hello()
@@ -709,7 +701,7 @@ class RemoteShardTransport:
         del self._buffer[: newline + 1]
         return line
 
-    def _handshake_reply(self, timeout: float) -> dict:
+    def _handshake_reply(self) -> dict:
         """Read exactly one reply line, honoring the connect timeout."""
         while True:
             line = self._pop_line()
@@ -729,7 +721,7 @@ class RemoteShardTransport:
             except socket.timeout:
                 raise ShardConnectError(
                     f"shard host {self.address} did not answer the "
-                    f"handshake within {timeout:.0f}s"
+                    f"handshake within {CONNECT_TIMEOUT_SECONDS:.0f}s"
                 ) from None
             if not chunk:
                 raise ShardConnectError(
@@ -742,20 +734,17 @@ class RemoteShardTransport:
     # ShardTransport
     # ------------------------------------------------------------------
     def submit(
-        self,
-        request_id: int,
-        query_tuple: tuple,
-        options: SolveOptions,
-        epoch: int | None = None,
+        self, request_id: int, query: list, options: dict, epoch: int
     ) -> None:
-        message = {
-            "op": "sweep",
-            "id": request_id,
-            "request": encode_pickled((query_tuple, options)),
-        }
-        if epoch is not None:
-            message["epoch"] = epoch
-        self._send(encode_line(message))
+        self._send(
+            encode_line({
+                "op": "sweep",
+                "id": request_id,
+                "query": query,
+                "options": options,
+                "epoch": epoch,
+            })
+        )
 
     def submit_mutate(self, request_id: int, delta) -> None:
         self._send(
@@ -831,20 +820,17 @@ class RemoteShardTransport:
             message = decode_line(line)
             request_id = message.get("id")
             if message.get("ok"):
-                if "outcome" in message:
-                    # Sweep replies are epoch-stamped so the router can
-                    # verify the serving version on receipt.
-                    return request_id, "ok", (
-                        message.get("epoch", 0),
-                        decode_pickled(message["outcome"]),
-                    )
+                if "nodes" in message:
+                    return request_id, "ok", message  # a sweep; the router decodes it
                 if "stats" in message:
                     return request_id, "ok", ServiceStats(**message["stats"])
                 if "epoch" in message:
                     # A mutate acknowledgement: the replica's new epoch.
                     return request_id, "ok", message["epoch"]
                 raise ValueError("success reply carries no payload")
-            error_type = message.get("error_type", "")
+            error_type, error = message["error_type"], message["error"]
+            if not (isinstance(error_type, str) and isinstance(error, str)):
+                raise ValueError("an error reply names its type and message")
             if error_type == "EpochMismatch":
                 # The daemon refused to answer from a different graph
                 # version — the link is stale, not the query poisoned, so
@@ -852,25 +838,16 @@ class RemoteShardTransport:
                 # never treat it as a request fault.
                 raise ShardLinkError(
                     f"shard host {self.address} is at a different epoch: "
-                    f"{message.get('error', 'epoch mismatch')}"
+                    f"{error}"
                 )
-            error = message.get("error", "request failed")
-            if "exception" in message:
-                exc = decode_pickled(message["exception"])
-                if isinstance(exc, Exception):
-                    return request_id, "error", exc
-            rebuilt = RuntimeError(
-                f"{error_type}: {error}" if error_type else error
-            )
-            return request_id, "error", rebuilt
+            return request_id, "error", _request_fault(error_type, error)
         except ShardLinkError:
             raise  # already typed (a stale-epoch reply), not a parse fault
         except Exception as exc:
-            # An unparsable reply — bad JSON, a missing field, a pickle
-            # that will not load (version skew, corruption) — means router
-            # and host have lost protocol sync: the link is unusable,
-            # exactly like a dead one, so the router must see an in-flight
-            # transport failure, never a stray exception type.
+            # An unparsable reply — bad JSON, a missing field — means
+            # router and host have lost protocol sync: the link is
+            # unusable, exactly like a dead one, so the router must see an
+            # in-flight transport failure, never a stray exception type.
             raise ShardLinkError(
                 f"shard host {self.address} sent an unparsable reply: {exc}"
             ) from exc
@@ -976,17 +953,16 @@ class LocalShardTransport(RemoteShardTransport):
     socketpair is ``AF_UNIX``, so no listener is ever opened.
     """
 
-    def __init__(self, shard_id: int, *, payload, mp_context) -> None:
+    def __init__(self, shard_id: int, *, payload) -> None:
         self.shard_id = shard_id
         self.address = f"local shard {shard_id}"
         self._payload_of = payload
-        self._ctx = mp_context
         self._spawn()
 
     def _spawn(self) -> None:
         self._buffer = bytearray()
         self._sock, child_end = socket.socketpair()
-        self.process = self._ctx.Process(
+        self.process = multiprocessing.Process(
             # Looked up at spawn time, so a wrapper installed on the
             # module attribute (perfbench's ShardCollector) is what runs.
             target=sharded._shard_main,
@@ -1034,6 +1010,18 @@ class LocalShardTransport(RemoteShardTransport):
         if self.process.is_alive():  # pragma: no cover - defensive reaping
             self.process.terminate()
             self.process.join()
+
+
+def _request_fault(error_type: str, message: str) -> errors.ReproError:
+    """The :mod:`repro.errors` class a request fault names, with the same
+    ``str()``; any other name becomes a ``ReproError`` naming both."""
+    cls = getattr(errors, error_type, None)
+    if isinstance(cls, type) and issubclass(cls, errors.ReproError):
+        # __new__ alone: some classes' __init__ take other arguments.
+        fault = cls.__new__(cls, message)
+        if str(fault) == message:  # not a KeyError subclass (repr'd str)
+            return fault
+    return errors.ReproError(f"{error_type}: {message}")
 
 
 def ping_shard_host(

@@ -308,11 +308,10 @@ class GatewayServer:
             payload["health"] = service_health(service_stats)
             return {"ok": True, "stats": payload}, False
         if op == "mutate":
-            # The mutate op stays pure JSON like everything else on this
-            # untrusted surface: the delta arrives as plain edge lists
-            # (GraphDelta.from_payload validates shape and content), never
-            # as a pickle.  amutate serializes the epoch flip with the
-            # solve windows on the gateway's executor.
+            # The delta arrives as plain edge lists, and
+            # GraphDelta.from_payload validates shape and content.
+            # amutate serializes the epoch flip with the solve windows on
+            # the gateway's executor.
             delta = GraphDelta.from_payload(message.get("delta"))
             epoch = await self._gateway.amutate(delta)
             return {"ok": True, "epoch": epoch}, False

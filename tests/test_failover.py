@@ -192,7 +192,7 @@ class _ScriptedHost:
 
     ``hello_ok=True`` answers the handshake like a real shard host;
     ``sweep_reply`` (bytes or None) is sent verbatim for every later
-    line — letting tests forge unparsable and pickle-skewed replies, or
+    line — letting tests forge unparsable replies, or
     hang up mid-stream (``None`` closes after the handshake's first
     sweep arrives).
     """
@@ -286,7 +286,6 @@ class TestErrorTaxonomy:
 
     def test_mid_write_reset_is_a_link_error(self):
         host = _ScriptedHost(sweep_reply=None)  # hangs up on the first sweep
-        options = SolveOptions()
         try:
             transport = RemoteShardTransport(
                 0, "127.0.0.1", host.port, digest="d"
@@ -295,7 +294,7 @@ class TestErrorTaxonomy:
             # the OS surfaces it (EPIPE/ECONNRESET), typed as in-flight.
             with pytest.raises(ShardLinkError, match="mid-write"):
                 for request_id in range(200):
-                    transport.submit(request_id, (1, 2), options)
+                    transport.submit(request_id, [1, 2], {}, 0)
                     time.sleep(0.005)
             transport.stop()
         finally:
@@ -317,25 +316,30 @@ class TestErrorTaxonomy:
         finally:
             host.close()
 
-    def test_pickle_skewed_reply_is_a_link_error(self):
-        # ok=true with an outcome field that is not a loadable pickle:
-        # protocol sync is gone even though the JSON envelope parsed.
-        host = _ScriptedHost(
-            sweep_reply=b'{"ok": true, "id": 7, "outcome": "AAAA"}\n'
-        )
-        try:
-            transport = RemoteShardTransport(
-                0, "127.0.0.1", host.port, digest="d"
+    def test_malformed_index_reply_is_a_link_error(self):
+        # ok=true with a vertex index one past the router's index: the
+        # JSON envelope parsed, but protocol sync is gone, so the link
+        # fails (and with one replica the batch and the service with it);
+        # no wrong vertex is ever returned.
+        graph = small_graph()
+        with ShardHostServer(ConnectorService(graph)) as server:
+            honest_sweep = server._sweep
+
+            def forge_reply(message):
+                reply = honest_sweep(message)
+                reply["nodes"][-1] = graph.num_nodes
+                return reply
+
+            server._sweep = forge_reply
+            sharded = ShardedConnectorService(
+                graph, shards=[f"127.0.0.1:{server.port}"]
             )
-            transport.submit_stats(7)
-            deadline = time.monotonic() + 5.0
-            with pytest.raises(ShardLinkError, match="unparsable"):
-                while time.monotonic() < deadline:
-                    transport.drain()
-                    time.sleep(0.01)
-            transport.stop()
-        finally:
-            host.close()
+            with pytest.raises(RuntimeError, match="died") as raised:
+                sharded.solve_many([sorted(graph.nodes())[:3]])
+            sharded.close()
+        link_error = raised.value.__context__
+        assert isinstance(link_error, ShardLinkError)
+        assert "unparsable" in str(link_error)
 
     def test_submit_on_a_stopped_link_is_a_link_error(self):
         service = ConnectorService(small_graph())
@@ -382,7 +386,9 @@ class TestHostStats:
                     digest=service.index_digest(),
                 )
                 nodes = sorted(service.graph.nodes())[:2]
-                transport.submit(5, tuple(nodes), SolveOptions())
+                transport.submit(
+                    5, sorted(service.indices_of(nodes)), {}, service.epoch
+                )
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
                     if transport.drain():

@@ -223,6 +223,32 @@ class TestGatewayScheduling:
             [[3, 4]],
         ]
 
+    def test_equal_queries_with_other_options_never_coalesce(self):
+        """The coalescing key holds the options: the same query under
+        another method, in flight together, gets its own answer."""
+        gate = threading.Event()
+        service = StubService(gate=gate)
+
+        async def scenario():
+            gateway = AsyncGateway(service, max_batch=1, max_wait_ms=0.0)
+            first = asyncio.ensure_future(gateway.asolve([1, 2]))
+            while gateway.stats().windows_dispatched == 0:
+                await asyncio.sleep(0.005)
+            other = asyncio.ensure_future(
+                gateway.asolve([1, 2], SolveOptions(method="st"))
+            )
+            await asyncio.sleep(0.02)  # let the second reach admission
+            gate.set()
+            results = await asyncio.gather(first, other)
+            stats = gateway.stats()
+            await gateway.aclose()
+            return results, stats
+
+        (ws, st), stats = run(scenario())
+        assert ws[2].method == "ws-q" and st[2].method == "st"
+        assert stats.coalesced == 0
+        assert len(service.calls) == 2
+
     def test_windows_close_on_max_batch(self):
         service = StubService()
 

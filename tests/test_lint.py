@@ -4,8 +4,8 @@ Pyflakes-style fixture discipline: every registered rule ships a
 ``fixtures/rpr0xx_bad.py`` that must fire and a ``rpr0xx_good.py`` twin
 that must stay silent — parametrized over the registry so adding a rule
 without its pair fails here, not in review.  On top of that: suppression
-and unused-suppression behavior, path-scoped policy routing (the pickle
-ban knows the shard wire from the gateway), the ``--json`` report shape,
+and unused-suppression behavior, path-scoped policy routing (the
+unseeded-random ban knows src from tests), the ``--json`` report shape,
 ``--explain`` self-documentation, the acceptance scenarios from the PR
 (the resurrected PR 3 salted-``hash()`` routing bug and the PR 4
 unbounded gateway stats list are both caught), and the meta-test: the
@@ -226,9 +226,13 @@ def test_pickle_banned_on_the_protocol_and_gateway():
         assert findings, f"pickle must be flagged at {path}"
 
 
-def test_pickle_allowed_on_the_shard_wire():
-    for path in ("repro/serving/remote.py", "repro/serving/pickled.py"):
-        assert not lint_source(PICKLE_SOURCE, path, one_rule("RPR003")), path
+def test_pickle_banned_on_the_shard_wire():
+    """A plain ban: the shard wire is JSON too, so no file is exempt."""
+    assert not one_rule("RPR003")[0].allow
+    findings = lint_source(
+        PICKLE_SOURCE, "repro/serving/remote.py", one_rule("RPR003")
+    )
+    assert findings, "pickle must be flagged at repro/serving/remote.py"
 
 
 def test_unseeded_random_banned_in_src_not_tests():

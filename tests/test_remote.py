@@ -39,14 +39,21 @@ from repro.core.sharded import (
     normalize_shard_spec,
 )
 from repro.core.wiener_steiner import wiener_steiner
-from repro.errors import DisconnectedGraphError
+from repro.errors import (
+    DisconnectedGraphError,
+    InvalidQueryError,
+    NodeNotFoundError,
+    ParseError,
+    ReproError,
+)
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
-from repro.serving.pickled import encode_pickled
 from repro.serving.protocol import decode_line, encode_line
 from repro.serving.remote import (
     LocalShardTransport,
     RemoteShardTransport,
     ShardHostServer,
+    _request_fault,
     shutdown_shard_host,
 )
 
@@ -306,6 +313,25 @@ class TestHandshake:
             != ConnectorService(different).index_digest()
         )
 
+    def test_relabelled_arrays_are_refused_at_hello(self):
+        """Same rows under other labels: a sweep's vertex indices would
+        name other vertices on each side (and roots would be tried in
+        another label order), so the digest hashes the labels and hello
+        refuses the twin."""
+        g = random_connected_graph(30, 0.12, 53)
+        csr = CSRGraph.from_graph(g)
+        relabelled = CSRGraph(
+            csr.indptr, csr.indices, list(reversed(csr.node_of))
+        )
+        router = ConnectorService(g)
+        twin = ConnectorService(None, csr=relabelled)
+        assert router.index_digest() != twin.index_digest()
+        with ShardHostServer(twin) as host:
+            with pytest.raises(ShardConnectError, match="digest mismatch"):
+                RemoteShardTransport(
+                    0, "127.0.0.1", host.port, digest=router.index_digest()
+                )
+
     def test_reordered_twin_is_refused_at_hello(self):
         """A shard host serving the same graph in another index order
         would pass a content-only digest and answer differently."""
@@ -358,10 +384,8 @@ class TestShardHostProtocol:
         service = ConnectorService(g)
         digest = service.index_digest()
         sweep_line = encode_line({
-            "op": "sweep", "id": 5,
-            "request": encode_pickled(
-                (tuple(sorted(g.nodes())[:3]), SolveOptions())
-            ),
+            "op": "sweep", "id": 5, "query": [0, 1, 2], "options": {},
+            "epoch": 0,
         })
         with ShardHostServer(service) as host:
             refused, pong = raw_request(
@@ -401,10 +425,8 @@ class TestShardHostProtocol:
         )
         rfile = io.BytesIO(
             encode_line({
-                "op": "sweep", "id": 1, "epoch": 0,
-                "request": encode_pickled(
-                    (tuple(sorted(g.nodes())[:3]), SolveOptions())
-                ),
+                "op": "sweep", "id": 1, "epoch": 0, "query": [0, 1, 2],
+                "options": {},
             })
             + encode_line({"op": "mutate", "id": 2, "delta": {"insert": [[u, v]]}})
             + encode_line({"op": "hello", "digest": "bogus", "id": 3})
@@ -491,7 +513,7 @@ class TestShardHostProtocol:
             transport = RemoteShardTransport(
                 0, "127.0.0.1", port, digest=digest
             )
-            transport.submit(0, (1, 2), SolveOptions())
+            transport.submit(0, [1, 2], {}, 0)
             deadline = time.monotonic() + 10
             with pytest.raises(ShardTransportError, match="unparsable"):
                 while time.monotonic() < deadline:
@@ -502,6 +524,205 @@ class TestShardHostProtocol:
             thread.join(timeout=10)
         finally:
             listener.close()
+
+
+def sweep_message(request_id: int, query, options=None, **fields) -> dict:
+    """A sweep op request in index space (``epoch=0`` unless overridden)."""
+    message = {
+        "op": "sweep", "id": request_id, "query": query,
+        "options": {} if options is None else options, "epoch": 0,
+    }
+    message.update(fields)
+    return message
+
+
+class TestIndexWire:
+    """The sweep op carries plain JSON vertex indices: request checks,
+    reply checks, request faults, and the label edge cases around them."""
+
+    def test_sweep_without_an_epoch_fails_only_itself(self):
+        """The host's own guard: a sweep that does not say which graph
+        version it was dispatched at is refused, whatever the router, and
+        the link survives to serve the same sweep with an epoch."""
+        g = random_connected_graph(20, 0.2, 83)
+        service = ConnectorService(g)
+        epochless = sweep_message(1, [0, 1, 2])
+        del epochless["epoch"]
+        rfile = io.BytesIO(
+            encode_line(epochless)
+            + encode_line(sweep_message(2, [0, 1, 2], epoch=None))
+            + encode_line(sweep_message(3, [0, 1, 2], epoch=True))
+            + encode_line(sweep_message(4, [0, 1, 2]))
+        )
+        wfile = io.BytesIO()
+        ShardHostServer(service).serve_connection(rfile, wfile, handshaken=True)
+        *refused, served = map(decode_line, wfile.getvalue().splitlines())
+        for reply in refused:
+            assert reply["ok"] is False
+            assert "epoch" in reply["error"]
+        assert served["ok"] is True and served["id"] == 4
+        reference = service.sweep(service.labels_at([0, 1, 2]))
+        assert served["nodes"] == sorted(service.indices_of(reference.nodes))
+        assert served["root"] == service.indices_of([reference.root])[0]
+
+    def test_malformed_requests_fail_only_themselves(self):
+        """Python lists index ``-1`` and ``True`` happily, so the host
+        accepts nothing but plain ints in ``[0, n)``: each malformed
+        request fails alone, and the link then serves a good one."""
+        g = random_connected_graph(20, 0.2, 85)
+        service = ConnectorService(g)
+        n = service.num_nodes
+        bad = [
+            sweep_message(1, [0, -1]),
+            sweep_message(2, [0, True]),
+            sweep_message(3, [0, n]),
+            sweep_message(4, "0,1"),
+            sweep_message(5, [0, 1.0]),
+            sweep_message(6, [0, 1], {"roots": [n]}),
+            sweep_message(7, [0, 1], {"roots": [False]}),
+            sweep_message(8, [0, 1], {"lambda": 2.0}),
+            sweep_message(9, [0, 1], options=[]),
+        ]
+        rfile = io.BytesIO(
+            b"".join(encode_line(message) for message in bad)
+            + encode_line(sweep_message(10, [0, 1]))
+        )
+        wfile = io.BytesIO()
+        ShardHostServer(service).serve_connection(rfile, wfile, handshaken=True)
+        replies = list(map(decode_line, wfile.getvalue().splitlines()))
+        assert [reply["id"] for reply in replies] == list(range(1, 11))
+        assert not any(reply["ok"] for reply in replies[:-1])
+        assert replies[-1]["ok"] is True
+        assert service.stats().queries_served == 1
+
+    @pytest.mark.parametrize(
+        "forge", ["minus_one", "true", "n", "not_a_list", "drops_the_query"]
+    )
+    def test_malformed_reply_fails_the_link_never_a_wrong_vertex(self, forge):
+        """A reply whose indices name no vertex of the router's index is
+        a ShardLinkError: with a second replica the ring fails over, and
+        every answer stays the one-shot one."""
+        g = random_connected_graph(30, 0.12, 87)
+        n = g.num_nodes
+        forged = ShardHostServer(ConnectorService(g))
+        honest_sweep = forged._sweep
+
+        def forge_reply(message):
+            reply = honest_sweep(message)
+            if forge == "minus_one":
+                reply["nodes"][0] = -1
+            elif forge == "true":
+                reply["root"] = True
+            elif forge == "n":
+                reply["nodes"][-1] = n
+            elif forge == "not_a_list":
+                reply["nodes"] = {str(i): i for i in reply["nodes"]}
+            else:
+                reply["nodes"].remove(message["query"][0])
+            return reply
+
+        forged._sweep = forge_reply
+        batch = random_query_batch(g, random.Random(87), 8, lo=2, hi=4)
+        with forged, shard_hosts(g, 1) as addresses:
+            specs = [f"127.0.0.1:{forged.port}", addresses[0]]
+            with ShardedConnectorService(
+                g, shards=specs, replication=2
+            ) as sharded:
+                results = sharded.solve_many(batch)
+                stats = sharded.stats()
+        for query, result in zip(batch, results):
+            assert_connector_identical(result, wiener_steiner(g, query))
+        assert stats.shards_failed == 1
+
+    def test_roots_outside_the_graph_never_reach_the_wire(self):
+        """A root with no vertex has no index: the ring answers exactly
+        as in-process — the same InvalidQueryError for a multi-vertex
+        query, the vertex itself for a one-vertex query (a one-vertex
+        sweep ignores roots) — and nothing is routed."""
+        g = random_connected_graph(20, 0.2, 89)
+        options = SolveOptions(roots=(0, "nowhere"))
+        single = ConnectorService(g)
+        with pytest.raises(InvalidQueryError) as expected:
+            single.solve([0, 5], options)
+        with ShardedConnectorService(g, n_shards=2) as sharded:
+            with pytest.raises(InvalidQueryError) as raised:
+                sharded.solve_many([[3], [0, 5]], options)
+            assert str(raised.value) == str(expected.value)
+            [alone] = sharded.solve_many([[3]], options)
+            assert alone.nodes == single.solve([3], options).nodes == {3}
+            assert sharded.stats().requests_routed == 0
+        assert_no_orphan_processes()
+
+    def test_request_faults_keep_their_type_and_message(self):
+        """The router re-raises a request fault as the repro.errors class
+        it names, with the same str() as in-process; other names become a
+        typed ReproError, never a bare exception."""
+        g = Graph([(0, 1), (1, 2), (2, 3), (10, 11), (11, 12)])
+        single = ConnectorService(g)
+        cases = [
+            ([0, 11], SolveOptions(), DisconnectedGraphError),
+            ([0, 3], SolveOptions(roots=()), InvalidQueryError),
+        ]
+        with ShardedConnectorService(g, n_shards=2) as sharded:
+            for query, options, error in cases:
+                with pytest.raises(error) as expected:
+                    single.solve(query, options)
+                with pytest.raises(error) as raised:
+                    sharded.solve_many([query], options)
+                assert type(raised.value) is type(expected.value)
+                assert str(raised.value) == str(expected.value)
+        assert_no_orphan_processes()
+        fault = _request_fault("ValueError", "bad options")
+        assert type(fault) is ReproError
+        assert str(fault) == "ValueError: bad options"
+        # A class whose __init__ takes other arguments is rebuilt too.
+        fault = _request_fault("ParseError", "line 3: bad weight")
+        assert type(fault) is ParseError
+        assert str(fault) == "line 3: bad weight"
+        # A KeyError subclass's str() is its argument's repr, so no
+        # rebuilt instance could repeat the message: it stays a ReproError.
+        message = str(NodeNotFoundError(7))
+        assert type(_request_fault("NodeNotFoundError", message)) is ReproError
+
+    def test_float_spelled_queries_answer_like_in_process(self):
+        """A JSON client may spell int vertices as floats.  They travel as
+        indices, and float spellings never change the repr order of int
+        labels, so the ring tries roots in the same order: the answer is
+        ==-equal to in-process (the root comes back as the graph's int
+        label)."""
+        g = random_connected_graph(40, 0.1, 91)
+        rng = random.Random(91)
+        batch = [
+            [float(v) for v in query]
+            for query in random_query_batch(g, rng, 6, lo=1, hi=4)
+        ]
+        single = ConnectorService(g)
+        with ShardedConnectorService(g, n_shards=2) as sharded:
+            results = sharded.solve_many(batch)
+        for query, result in zip(batch, results):
+            assert_connector_identical(result, single.solve(query))
+            assert type(result.metadata["root"]) is int
+        assert_no_orphan_processes()
+
+    def test_sweep_bytes_on_the_wire(self):
+        """With default options a sweep request is the op, the id, the
+        sorted indices and the epoch; the reply adds no label bytes."""
+        g = random_connected_graph(30, 0.12, 93)
+        service = ConnectorService(g)
+        request = encode_line(sweep_message(12, [3, 17, 29]))
+        assert request == (
+            b'{"op":"sweep","id":12,"query":[3,17,29],"options":{},'
+            b'"epoch":0}\n'
+        )
+        wfile = io.BytesIO()
+        ShardHostServer(service).serve_connection(
+            io.BytesIO(request), wfile, handshaken=True
+        )
+        reply = decode_line(wfile.getvalue())
+        assert sorted(reply) == [
+            "candidates", "epoch", "id", "key", "lambda", "nodes", "ok",
+            "root", "runtime_seconds",
+        ]
 
 
 class TestKilledShardHost:

@@ -25,6 +25,7 @@ from helpers import (
 )
 from oracle import ENGINES, make_service, oracle_solve
 from repro.baselines import METHODS, steiner_connector
+from repro.core.lru import LRUCache
 from repro.core.options import FunctionMethod, Method, SolveOptions
 from repro.core.service import (
     ConnectorService,
@@ -241,6 +242,18 @@ class TestServiceIdentity:
                     service.solve(query, opts),
                     make_service(g, opts, "dict").solve(query),
                 )
+
+
+class TestLRUPolicy:
+    def test_evicts_the_least_recently_used_entry(self):
+        """A hit refreshes recency, so a full cache evicts the entry
+        touched longest ago, never the one just put."""
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1
+        cache.put("c", 3)
+        assert cache.keys() == ["a", "c"]
 
 
 class TestShardWorkerAPI:

@@ -12,7 +12,7 @@ consistent-hash ring's stability/movement properties and the
 """
 
 import dataclasses
-import pickle
+import json
 import random
 import socket
 
@@ -30,11 +30,13 @@ from repro.core.service import ConnectorService
 from repro.core.sharded import (
     ShardedConnectorService,
     _HashRing,
+    _wire_options,
     request_digest,
 )
 from repro.core.wiener_steiner import wiener_steiner
 from repro.errors import DisconnectedGraphError, InvalidQueryError
 from repro.graphs.graph import Graph
+from repro.serving.protocol import options_from_payload
 
 SHARD_COUNTS = (1, 2, 5)
 
@@ -371,7 +373,7 @@ class TestLifecycle:
 
     def test_local_slots_open_no_listener(self):
         """A local slot is a socketpair: AF_UNIX, so nothing but the router
-        can reach the child's pickled sweep op."""
+        can reach the child's sweep op."""
         g = random_connected_graph(24, 0.15, 51)
         with ShardedConnectorService(g, n_shards=2) as sharded:
             for transport in sharded._shards.values():
@@ -462,12 +464,22 @@ class TestSolveOptionsKeys:
             != SolveOptions(adjust=False).stable_digest()
         )
 
-    def test_digest_survives_pickling(self):
-        """The routing key must agree between router and shard processes."""
-        options = SolveOptions(beta=0.5, roots=(2, 7), selection="wiener")
-        clone = pickle.loads(pickle.dumps(options))
+    def test_digest_survives_the_wire_codec(self):
+        """The options a shard decodes from the sweep op's JSON object are
+        the router's, so they key every cache the same way."""
+        options = SolveOptions(
+            beta=0.5, roots=(2, 7), selection="wiener",
+            lambda_values=(0.5, 3.0), adjust=False,
+        )
+        payload = json.loads(json.dumps(_wire_options(options, list)))
+        assert payload == {
+            "beta": 0.5, "roots": [2, 7], "selection": "wiener",
+            "adjust": False, "lambda_values": [0.5, 3.0],
+        }
+        clone = options_from_payload(payload)
         assert clone == options
         assert clone.stable_digest() == options.stable_digest()
+        assert _wire_options(SolveOptions(), list) == {}
 
 
 class TestRingPlacementGolden:

@@ -50,6 +50,7 @@ from repro.core.wiener_steiner import wiener_steiner
 from repro.errors import DeltaError, EdgeNotFoundError, GraphError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph, WeightedGraph
+from repro.graphs.wiener import wiener_index
 from repro.serving.remote import RemoteShardTransport, ShardHostServer
 from repro.serving.server import AsyncConnectorClient, GatewayServer, ServerError
 
@@ -495,6 +496,36 @@ class TestServiceApplyDelta:
             service.solve(query)
         assert service.stats().score_hits > before.score_hits
 
+    def test_insert_inside_a_scored_set_drops_its_score(self):
+        """A score is W(G[S]); an edge with both endpoints in S changes
+        it, so after the delta the cached score is gone or fresh."""
+        path = Graph([(0, 1), (1, 2), (2, 3), (3, 4)])
+        service = ConnectorService(path)
+        scored = service.solve([0, 4]).nodes
+        assert scored == frozenset(range(5))
+        assert service._scores.peek(("exact", scored)) == 20.0
+        service.apply_delta(GraphDelta(inserts=[(0, 2)]))
+        mutated = path.copy()
+        mutated.add_edge(0, 2)
+        assert service._scores.peek(("exact", scored)) in (
+            None, wiener_index(mutated),
+        )
+
+    def test_gap_two_insert_drops_the_root_entry(self):
+        """An insert between BFS levels 0 and 2 of a cached root is a
+        shortcut: after it the root's (dist, parent) are gone or fresh."""
+        path = Graph([(0, 1), (1, 2), (2, 3), (3, 4)])
+        service = ConnectorService(path)
+        service.solve([0, 4])
+        engine = service._engine
+        assert engine._root_cache.peek(0) is not None
+        service.apply_delta(GraphDelta(inserts=[(0, 2)]))
+        cached = engine._root_cache.peek(0)
+        if cached is not None:
+            dist, parent = service._versioned.csr.bfs_tree(0)
+            assert cached[0].tolist() == dist.tolist()
+            assert cached[1].tolist() == parent.tolist()
+
 
 # ----------------------------------------------------------------------
 # Tentpole fuzz: epoch identity through the whole serving tower
@@ -613,8 +644,8 @@ class TestEpochMismatchTyping:
                 digest=service.index_digest(), epoch=0,
             )
             try:
-                query = tuple(sorted(graph.nodes())[:3])
-                transport.submit(1, query, SolveOptions(), epoch=3)
+                query = sorted(service.indices_of(sorted(graph.nodes())[:3]))
+                transport.submit(1, query, {}, epoch=3)
                 deadline = time.monotonic() + 10
                 with pytest.raises(ShardLinkError, match="epoch"):
                     while time.monotonic() < deadline:
